@@ -72,17 +72,22 @@ def col(H: Hypergraph) -> int:
     """Coloring number: least k with H strictly k-degenerate (0 for empty H).
 
     Computed as 1 + the largest current minimum degree seen while
-    repeatedly deleting a minimum-degree vertex.
+    repeatedly deleting a minimum-degree vertex (smallest name on ties),
+    taken from a heap keyed (degree, name) whose stale entries are skipped.
     """
     if H.is_empty:
         return 0
     alive = set(H.vertices)
     deg = {v: H.degree(v) for v in alive}
     live_edges = {e: set(m) for e, m in H.edges().items()}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
     worst = 0
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        worst = max(worst, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in alive or d != deg[v]:
+            continue
+        worst = max(worst, d)
         alive.discard(v)
         for e in H.edges_at(v):
             m = live_edges.pop(e, None)
@@ -91,4 +96,5 @@ def col(H: Hypergraph) -> int:
             for u in m:
                 if u in alive:
                     deg[u] -= 1
+                    heapq.heappush(heap, (deg[u], u))
     return worst + 1

@@ -13,6 +13,7 @@ and the shares must add up exactly at the shared vertices.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -227,7 +228,10 @@ def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     """Certificate of non-partitionability, or None.
 
-    Strips leaf blocks off the block tree.  Vertices lying in a single
+    Strips leaf blocks off the block tree, always the leaf of smallest
+    index next: a min-heap holds the remaining blocks with at most one
+    vertex shared with another remaining block, and a block joins it when
+    its shared-vertex count drops to one.  Vertices lying in a single
     remaining block pin the block's share of f; at the shared vertex the
     share is inferred from the only patterns that can extend (constant,
     or degree-proportional on one coordinate) and subtracted from the
@@ -242,19 +246,30 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
         return None
     bt = blocks(H)
     nb = len(bt.blocks)
-    remaining = set(range(nb))
-    in_blocks = {v: sum(1 for b in bt.blocks if v in b) for v in H.vertices}
+    # blocks_of[v]: the remaining blocks holding v; stripping a leaf updates
+    # only its shared vertex, as the others are private to it
+    blocks_of: dict[str, list[int]] = {v: [] for v in H.vertices}
+    for i, b in enumerate(bt.blocks):
+        for v in b:
+            blocks_of[v].append(i)
+    # each edge lies in exactly one block: the one holding two of its vertices
+    block_edges: list[dict[str, frozenset[str]]] = [{} for _ in range(nb)]
+    for e in H.edge_ids:
+        m = H.incidence(e)
+        u, w, *_ = m
+        i = next(i for i in blocks_of[u] if w in bt.blocks[i])
+        block_edges[i][e] = m
+    n_shared = [sum(1 for v in b if len(blocks_of[v]) >= 2) for b in bt.blocks]
+    leaves = [i for i in range(nb) if n_shared[i] <= 1]
     residual = {v: f[v] for v in H.vertices}
     tags: list[BlockTypeTag | None] = [None] * nb
     fns: list[dict[str, tuple[int, ...]] | None] = [None] * nb
-    while remaining:
-        leaf = min(
-            i for i in remaining if sum(1 for v in bt.blocks[i] if in_blocks[v] >= 2) <= 1
-        )
+    for _ in range(nb):
+        leaf = heapq.heappop(leaves)
         bset = bt.blocks[leaf]
-        B = H.induced(bset)
-        shared = [v for v in bset if in_blocks[v] >= 2]
-        pinned = {v: residual[v] for v in bset if in_blocks[v] == 1}
+        B = Hypergraph(bset, block_edges[leaf])
+        shared = [v for v in bset if len(blocks_of[v]) >= 2]
+        pinned = {v: residual[v] for v in bset if len(blocks_of[v]) == 1}
         candidates: list[dict[str, tuple[int, ...]]] = []
         if not shared:
             candidates.append(pinned)
@@ -289,9 +304,12 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
             if any(x < 0 for x in left):
                 return None
             residual[c] = left
-        remaining.discard(leaf)
-        for v in bset:
-            in_blocks[v] -= 1
+            blocks_of[c].remove(leaf)
+            if len(blocks_of[c]) == 1:
+                (other,) = blocks_of[c]
+                n_shared[other] -= 1
+                if n_shared[other] == 1:
+                    heapq.heappush(leaves, other)
     return HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))  # type: ignore[arg-type]
 
 

@@ -3,7 +3,11 @@
 Blocks are computed on the skeleton graph (each incidence set replaced by a
 clique): a clique is 2-connected, so every hyperedge lands in exactly one
 biconnected component of the skeleton, and the block vertex sets of the
-hypergraph coincide with the skeleton's.
+hypergraph coincide with the skeleton's.  Shrinking v away leaves the
+skeleton minus v, so the separating vertices are the skeleton's cut
+vertices: the vertices lying in two or more skeleton blocks.  One
+Hopcroft-Tarjan DFS per component finds the blocks, and with them the
+separating vertices, in time linear in the size of the skeleton.
 """
 
 from __future__ import annotations
@@ -39,17 +43,17 @@ def is_connected(H: Hypergraph) -> bool:
 
 
 def separating_vertices(H: Hypergraph) -> frozenset[str]:
-    """Vertices v whose component C has H[C] / v non-empty and disconnected."""
-    out = set()
-    for comp in components(H):
-        if len(comp) <= 2:
-            continue
-        Hc = H.induced(comp)
-        for v in comp:
-            Hv = Hc.shrink_away(v)
-            if not Hv.is_empty and not is_connected(Hv):
-                out.add(v)
-    return frozenset(out)
+    """Vertices v whose component C has H[C] / v non-empty and disconnected.
+
+    These are the vertices lying in two or more blocks of the skeleton.
+    """
+    adj = _skeleton_adjacency(H)
+    disc: dict[str, int] = {}
+    vsets: list[frozenset[str]] = []
+    for root in adj:
+        if root not in disc:
+            vsets += _biconnected_vertex_sets(adj, root, disc)
+    return _in_two_or_more(vsets)
 
 
 @dataclass(frozen=True)
@@ -74,54 +78,62 @@ class BlockTree:
 
 def _skeleton_adjacency(H: Hypergraph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in H.vertices}
-    for m in H.edges().values():
+    for e in H.edge_ids:
+        m = H.incidence(e)
         for u in m:
-            adj[u] |= m - {u}
+            adj[u] |= m
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
     return adj
 
 
-def _biconnected_vertex_sets(adj: dict[str, set[str]], root: str) -> list[frozenset[str]]:
-    """Vertex sets of biconnected components (iterative Hopcroft-Tarjan)."""
-    disc: dict[str, int] = {}
+def _in_two_or_more(vsets: list[frozenset[str]]) -> frozenset[str]:
+    seen: set[str] = set()
+    out: set[str] = set()
+    for b in vsets:
+        out |= seen & b
+        seen |= b
+    return frozenset(out)
+
+
+def _biconnected_vertex_sets(
+    adj: dict[str, set[str]], root: str, disc: dict[str, int]
+) -> list[frozenset[str]]:
+    """Vertex sets of the biconnected components reachable from root
+    (iterative Hopcroft-Tarjan).
+
+    Records the discovery time of every vertex reached in disc, which may
+    already hold the vertices of other components.
+    """
     low: dict[str, int] = {}
     comps: list[frozenset[str]] = []
-    edge_stack: list[tuple[str, str]] = []
-    timer = 0
-    # stack holds (vertex, parent, iterator over neighbors)
-    stack = [(root, None, iter(sorted(adj[root])))]
+    timer = len(disc)
     disc[root] = low[root] = timer
-    timer += 1
+    # vertices reached but not yet placed in a component, in discovery order
+    pending = [root]
+    # stack holds (vertex, parent, iterator over neighbors, index in pending)
+    stack = [(root, None, iter(sorted(adj[root])), 0)]
     while stack:
-        v, parent, it = stack[-1]
-        advanced = False
+        v, parent, it, _ = stack[-1]
         for u in it:
-            if u == parent:
-                continue
             if u not in disc:
-                edge_stack.append((v, u))
-                disc[u] = low[u] = timer
                 timer += 1
-                stack.append((u, v, iter(sorted(adj[u]))))
-                advanced = True
+                disc[u] = low[u] = timer
+                stack.append((u, v, iter(sorted(adj[u])), len(pending)))
+                pending.append(u)
                 break
-            if disc[u] < disc[v]:
-                edge_stack.append((v, u))
-                low[v] = min(low[v], disc[u])
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            p = stack[-1][0]
-            low[p] = min(low[p], low[v])
-            if low[v] >= disc[p]:
-                comp: set[str] = set()
-                while edge_stack and edge_stack[-1] != (p, v):
-                    a, b = edge_stack.pop()
-                    comp |= {a, b}
-                if edge_stack:
-                    a, b = edge_stack.pop()
-                    comp |= {a, b}
-                comps.append(frozenset(comp))
+            if u != parent and disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
+            _, _, _, at = stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    # v's subtree hangs off p: with p it forms a component
+                    comps.append(frozenset(pending[at:]) | {p})
+                    del pending[at:]
     return comps
 
 
@@ -129,20 +141,15 @@ def blocks(H: Hypergraph) -> BlockTree:
     """Block decomposition of a connected non-empty hypergraph."""
     if H.is_empty:
         raise ValueError("blocks: empty hypergraph")
-    if not is_connected(H):
+    adj = _skeleton_adjacency(H)
+    disc: dict[str, int] = {}
+    vsets = _biconnected_vertex_sets(adj, min(H.vertices), disc)
+    if len(disc) < H.order:
         raise ValueError("blocks: disconnected hypergraph (iterate components)")
     if H.order == 1:
-        (v,) = H.vertices
-        return BlockTree((frozenset((v,)),), frozenset(), ())
-    adj = _skeleton_adjacency(H)
-    root = min(H.vertices)
-    vsets = _biconnected_vertex_sets(adj, root)
+        return BlockTree((H.vertices,), frozenset(), ())
     vsets.sort(key=lambda b: min(b))
-    counts: dict[str, int] = {}
-    for b in vsets:
-        for v in b:
-            counts[v] = counts.get(v, 0) + 1
-    cut = frozenset(v for v, c in counts.items() if c >= 2)
+    cut = _in_two_or_more(vsets)
     tree = tuple((i, v) for i, b in enumerate(vsets) for v in sorted(b & cut))
     return BlockTree(tuple(vsets), cut, tree)
 

@@ -104,6 +104,17 @@ class TestColoringNumber:
             if k > 0:
                 assert not dp.is_strictly_degenerate(H, const(H, k - 1))
 
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_definition(self, seed):
+        # the least k with H strictly k-degenerate, found by counting up
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        H = dp.random_hypergraph(n, rng.randint(0, 3 * n), max_arity=4, max_mult=3, seed=seed)
+        k = 0
+        while H.vertices and not dp.is_strictly_degenerate(H, const(H, k)):
+            k += 1
+        assert dp.col(H) == k
+
     def test_at_most_max_degree_plus_one(self):
         for seed in range(25):
             H = dp.random_hypergraph(6, 9, seed=seed)

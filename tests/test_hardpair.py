@@ -181,6 +181,38 @@ class TestCertificates:
         assert not dp.verify_certificate(H, f, bad)
 
 
+def _balanced(parts):
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return ("merge", _balanced(parts[:mid]), _balanced(parts[mid:]))
+
+
+def _chain(parts):
+    plan = parts[0]
+    for part in parts[1:]:
+        plan = ("merge", plan, part)
+    return plan
+
+
+class TestIsHardAtScale:
+    """300-block make_hard pairs: no oracle, the certificate checks itself."""
+
+    @pytest.mark.parametrize("shape", [_balanced, _chain], ids=["balanced", "chain"])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_certificate_and_raised_coordinate(self, shape, p):
+        rng = random.Random(p)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(300)]
+        H, f = dp.make_hard(shape(bases), p, seed=p)
+        cert = dp.is_hard(H, f)
+        assert cert is not None and len(cert.blocks) == 300
+        assert dp.verify_certificate(H, f, cert)
+        v = rng.choice(sorted(H.vertices))
+        j = rng.randrange(p)
+        raised = f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
+        assert dp.is_hard(H, raised) is None
+
+
 class TestHardPairProperties:
     def _hard_samples(self, count=60):
         out = []

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -108,6 +109,53 @@ class TestReduction:
             for u in sorted(H.vertices):
                 Hu = H.delete(u)
                 assert dp.brute_partitionable(Hu, f.restrict(Hu.vertices)).partitionable
+
+
+class TestComplexity:
+    def test_one_shrink_per_reduction_on_tight_instance(self, monkeypatch):
+        # sum f = d everywhere; a vertex in a 3-edge that separates nothing
+        # gets two non-zero coordinates, so its block is no base block and
+        # the pair is not hard
+        rng = random.Random(60)
+        H = dp.random_hypergraph(60, 120, max_arity=3, seed=60, connected=True)
+        sep = dp.separating_vertices(H)
+        anchor = min(
+            v
+            for v in H.vertices - sep
+            if H.degree(v) >= 2 and any(len(H.incidence(e)) == 3 for e in H.edges_at(v))
+        )
+        p = 3
+        values = {}
+        for v in sorted(H.vertices):
+            d = H.degree(v) - 2 if v == anchor else H.degree(v)
+            vec = [0] * p
+            for _ in range(d):
+                vec[rng.randrange(p)] += 1
+            if v == anchor:
+                vec[0] += 1
+                vec[1] += 1
+            values[v] = tuple(vec)
+        f = VectorFunction(p, values)
+
+        partition_module = importlib.import_module("degenpart.partition")
+        counts = {"shrink_away": 0, "reduce_pair": 0}
+        shrink_away = Hypergraph.shrink_away
+        reduce_pair = partition_module.reduce_pair
+
+        def counting_shrink_away(self, X):
+            counts["shrink_away"] += 1
+            return shrink_away(self, X)
+
+        def counting_reduce_pair(*args):
+            counts["reduce_pair"] += 1
+            return reduce_pair(*args)
+
+        monkeypatch.setattr(Hypergraph, "shrink_away", counting_shrink_away)
+        monkeypatch.setattr(partition_module, "reduce_pair", counting_reduce_pair)
+        res = dp.solve(H, f)
+        assert res.partitionable
+        assert counts["reduce_pair"] >= H.order - 1
+        assert counts["shrink_away"] == counts["reduce_pair"]
 
 
 class TestVerifyPartition:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import degenpart as dp
@@ -62,6 +64,23 @@ class TestBlocks:
         with pytest.raises(ValueError):
             dp.blocks(Hypergraph("ab"))
 
+    @pytest.mark.parametrize(
+        "H",
+        [
+            Hypergraph("abcd", {"e1": "ab", "e2": "cd"}),
+            Hypergraph("abcde", {"e1": "ab", "e2": "bc", "e3": "ca"}),
+            Hypergraph("abcdef", {"x": "abc", "y": "def"}),
+            Hypergraph("abcd", {"e1": "bc", "e2": "cd", "e3": "db"}),
+        ],
+    )
+    def test_disconnected_input_raises(self, H):
+        with pytest.raises(ValueError, match="disconnected"):
+            dp.blocks(H)
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            dp.blocks(Hypergraph(()))
+
     def test_barbell(self):
         # two triangles joined by a path through m
         H = Hypergraph(
@@ -91,6 +110,20 @@ class TestBlocks:
         bt = dp.blocks(H)
         for i, v in bt.tree_edges:
             assert v in bt.blocks[i] and v in bt.cut_vertices
+
+
+def definitional_separating(H):
+    """Reference: shrink each vertex away and test what is left for connectivity."""
+    out = set()
+    for comp in dp.components(H):
+        if len(comp) <= 2:
+            continue
+        Hc = H.induced(comp)
+        for v in comp:
+            Hv = Hc.shrink_away(v)
+            if not Hv.is_empty and not dp.is_connected(Hv):
+                out.add(v)
+    return frozenset(out)
 
 
 def brute_separating(H):
@@ -143,5 +176,15 @@ class TestBlockInvariantsRandom:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_definitional_cross_check(self, seed):
-        H = dp.random_hypergraph(6, 7, seed=100 + seed, connected=True)
-        assert dp.separating_vertices(H) == brute_separating(H)
+        # 12 instances per seed: possibly disconnected, with isolated
+        # vertices, hyperedges of arity <= 4 and parallel edges, n <= 12
+        for k in range(12):
+            rng = random.Random(100 + 12 * seed + k)
+            n = rng.randint(1, 12)
+            H = dp.random_hypergraph(
+                n, rng.randint(0, 2 * n), max_arity=4, max_mult=3, seed=rng.randrange(2**32)
+            )
+            sep = dp.separating_vertices(H)
+            assert sep == definitional_separating(H)
+            if n <= 8:
+                assert sep == brute_separating(H)
