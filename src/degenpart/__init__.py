@@ -49,10 +49,8 @@ from .oracle import OracleVerdict, brute_partitionable, brute_strictly_degenerat
 from .partition import (
     SolveResult,
     enforce_degree_bounds,
-    fallback_count,
     partition_weight,
     reduce_pair,
-    reset_fallback_count,
     solve,
     verify_partition,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "degree_constrained_partition",
     "emit_instance",
     "enforce_degree_bounds",
-    "fallback_count",
     "is_Lxs_choosable",
     "is_connected",
     "is_graph",
@@ -104,7 +101,6 @@ __all__ = [
     "random_hard_plan",
     "random_hypergraph",
     "reduce_pair",
-    "reset_fallback_count",
     "solve",
     "separating_vertices",
     "t_fold",

@@ -248,17 +248,7 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     nb = len(bt.blocks)
     # blocks_of[v]: the remaining blocks holding v; stripping a leaf updates
     # only its shared vertex, as the others are private to it
-    blocks_of: dict[str, list[int]] = {v: [] for v in H.vertices}
-    for i, b in enumerate(bt.blocks):
-        for v in b:
-            blocks_of[v].append(i)
-    # each edge lies in exactly one block: the one holding two of its vertices
-    block_edges: list[dict[str, frozenset[str]]] = [{} for _ in range(nb)]
-    for e in H.edge_ids:
-        m = H.incidence(e)
-        u, w, *_ = m
-        i = next(i for i in blocks_of[u] if w in bt.blocks[i])
-        block_edges[i][e] = m
+    blocks_of, block_edges = _block_parts(H, bt)
     n_shared = [sum(1 for v in b if len(blocks_of[v]) >= 2) for b in bt.blocks]
     leaves = [i for i in range(nb) if n_shared[i] <= 1]
     residual = {v: f[v] for v in H.vertices}
@@ -313,6 +303,31 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     return HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))  # type: ignore[arg-type]
 
 
+def _block_parts(
+    H: Hypergraph, bt: BlockTree
+) -> tuple[dict[str, list[int]], list[dict[str, frozenset[str]]]]:
+    """The blocks holding each vertex, and each block's edges.
+
+    Each edge lies in exactly one block, the one holding any two of its
+    vertices; it is looked up among the blocks of the member in fewer
+    blocks, so a member private to one block settles it at once.
+    """
+    blocks_of: dict[str, list[int]] = {v: [] for v in H.vertices}
+    for i, b in enumerate(bt.blocks):
+        for v in b:
+            blocks_of[v].append(i)
+    block_edges: list[dict[str, frozenset[str]]] = [{} for _ in bt.blocks]
+    for e in H.edge_ids:
+        m = H.incidence(e)
+        u, w, *_ = m
+        held, other = blocks_of[u], w
+        if len(blocks_of[w]) < len(held):
+            held, other = blocks_of[w], u
+        i = held[0] if len(held) == 1 else next(i for i in held if other in bt.blocks[i])
+        block_edges[i][e] = m
+    return blocks_of, block_edges
+
+
 def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertificate) -> bool:
     """Re-check every certificate invariant from scratch; False on any violation."""
     try:
@@ -326,22 +341,20 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
     if f.vertices != H.vertices:
         return False
     p = f.p
-    for bset, tag, fB in zip(cert.blocks, cert.tags, cert.block_functions):
+    blocks_of, block_edges = _block_parts(H, bt)
+    for bset, edges, tag, fB in zip(cert.blocks, block_edges, cert.tags, cert.block_functions):
         if set(fB) != set(bset):
             return False
         if any(len(vec) != p or any(x < 0 for x in vec) for vec in fB.values()):
             return False
-        if not _tag_matches(H.induced(bset), fB, p, tag):
+        if not _tag_matches(Hypergraph(bset, edges), fB, p, tag):
             return False
-    for v in H.vertices:
-        total = tuple(
-            sum(fB[v][i] for bset, fB in zip(cert.blocks, cert.block_functions) if v in bset)
-            for i in range(p)
-        )
+    for v, held in blocks_of.items():
+        total = tuple(sum(cert.block_functions[i][v][k] for i in held) for k in range(p))
         if total != f[v]:
             return False
         if v not in bt.cut_vertices:
-            (i,) = bt.blocks_at(v)
+            (i,) = held
             if cert.block_functions[i][v] != f[v]:
                 return False
     return True

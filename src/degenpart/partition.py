@@ -1,40 +1,43 @@
 """Partition construction with certificates, and degree-bounded refinement.
 
-Given f with f_1(v)+...+f_p(v) >= d(v) everywhere, every connected
-hypergraph either admits a partition into strictly f_i-degenerate classes
-or is one of the non-partitionable pairs recognized by hardpair.is_hard.
-The solver searches over reductions that shrink away one non-separating
-vertex z and charge coordinate j by the ordinary multiplicities towards
-z; a solved reduction extends by placing z into class j.  Branches whose
-reduction is itself non-partitionable are pruned.  Should the search ever
-exhaust without an answer on a non-hard input, an exhaustive assignment
-sweep finishes the job and the event is counted (see fallback_count).
+Given f with f_1(v)+...+f_p(v) >= d(v) everywhere, a connected
+hypergraph admits a partition into strictly f_i-degenerate classes
+exactly when the pair is not one of the hard pairs recognized by
+hardpair.is_hard.  The solver is the constructive proof of that
+theorem, run one component at a time on a residual state private to it:
+the unplaced vertices, the number of unplaced members of each edge, and
+the residual f.  Placing z into class j shrinks z away and lowers f_j by
+one, clamped at 0, at the other end of every edge left with exactly two
+unplaced members -- the reduction reduce_pair computes on whole values.
+A partition of the reduction extends by z in class j whenever
+f_j(z) > 0, and every vertex v != z keeps sum f >= d.
+
+Slack finisher.  A vertex s with sum f > d keeps that slack through
+every placement.  The vertices are placed farthest from s first
+(breadth-first distance, then name), each into its largest residual
+coordinate, smallest j on ties.  Every vertex but s still has its
+breadth-first parent unplaced, hence an edge, hence some f_j > 0; s,
+placed last, has one too.  This takes O(p*n + sum |e|).
+
+Tight steps.  With sum f = d everywhere, is_hard decides the component.
+If it is not hard, tight steps place one non-separating vertex z of the
+residual at a time into a class j whose reduction is not hard, until
+some vertex has slack and the finisher takes over.  A step prefers a
+(z, j) where some ordinary neighbour u has mu(z, u) > f_j(u): the
+reduction leaves u with slack and stays connected, so it is not hard
+without asking is_hard.  Otherwise it takes the first candidate whose
+reduce_pair is not hard.  No step is ever undone.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import is_strictly_degenerate
 from .hardpair import HardPairCertificate, VectorFunction, is_hard
 from .hypergraph import Hypergraph
 from .structure import components, separating_vertices
-
-log = logging.getLogger(__name__)
-
-_fallbacks = 0
-
-
-def fallback_count() -> int:
-    """How many times solve had to fall back to exhaustive assignment."""
-    return _fallbacks
-
-
-def reset_fallback_count() -> None:
-    global _fallbacks
-    _fallbacks = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,22 +67,26 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     """Partition H into strictly f_i-degenerate classes, or certify failure."""
     if f.vertices != H.vertices:
         raise ValueError("vector function domain does not match the hypergraph")
+    slack = set()
     for v in sorted(H.vertices):
-        if f.sum_at(v) < H.degree(v):
-            raise ValueError(
-                f"degree hypothesis violated at {v!r}: sum f_i = {f.sum_at(v)} < degree {H.degree(v)}"
-            )
+        total, d = f.sum_at(v), H.degree(v)
+        if total < d:
+            raise ValueError(f"degree hypothesis violated at {v!r}: sum f_i = {total} < degree {d}")
+        if total > d:
+            slack.add(v)
     assignment: dict[str, int] = {}
     certs: dict[frozenset[str], HardPairCertificate] = {}
     for comp in components(H):
+        if not comp.isdisjoint(slack):
+            _Residual(H, f, comp).finish(min(comp & slack), assignment)
+            continue
         Hc = H.induced(comp)
         fc = f.restrict(comp)
         cert = is_hard(Hc, fc)
         if cert is not None:
             certs[comp] = cert
             continue
-        part = _solve_connected(Hc, fc)
-        assignment.update(part)
+        _Residual(Hc, fc, comp).tight_steps(assignment)
     if certs:
         return SolveResult(None, certs)
     if not verify_partition(H, f, assignment):
@@ -87,63 +94,94 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     return SolveResult(assignment, None)
 
 
-def _solve_connected(H: Hypergraph, f: VectorFunction) -> dict[str, int]:
-    """Partition a connected component already known not to be hard."""
-    global _fallbacks
-    failed: set[tuple] = set()
-    part = _search(H, f, failed)
-    if part is None:
-        _fallbacks += 1
-        log.warning(
-            "reduction search exhausted on a partitionable component (%d vertices); "
-            "falling back to exhaustive assignment",
-            H.order,
-        )
-        part = _exhaustive(H, f)
-        if part is None:
-            raise AssertionError("internal error: non-hard component with no partition")
-    return part
+class _Residual:
+    """What is left of one component of H while its vertices are placed.
 
+    alive holds the unplaced vertices, live[e] the number of unplaced
+    members of edge e, and res[v] the residual f at v.  A vertex gains
+    slack exactly when a placement finds its coordinate already at 0.
+    """
 
-def _search(H: Hypergraph, f: VectorFunction, failed: set[tuple]) -> dict[str, int] | None:
-    if H.order == 1:
-        (v,) = H.vertices
-        for j, x in enumerate(f[v], 1):
-            if x > 0:
-                return {v: j}
-        return None
-    key = f.key()
-    if key in failed:
-        return None
-    sep = separating_vertices(H)
-    zs = sorted(
-        (z for z in H.vertices if z not in sep),
-        key=lambda z: (0 if f.sum_at(z) > H.degree(z) else 1, z),
-    )
-    for z in zs:
-        coords = sorted(
-            (j for j, x in enumerate(f[z], 1) if x > 0),
-            key=lambda j: (-f[z][j - 1], j),
-        )
-        for j in coords:
-            H2, f2 = reduce_pair(H, f, z, j)
-            if is_hard(H2, f2) is not None:
-                continue
-            sub = _search(H2, f2, failed)
-            if sub is not None:
-                sub[z] = j
-                return sub
-    failed.add(key)
-    return None
+    __slots__ = ("H", "p", "alive", "live", "res")
 
+    def __init__(self, H: Hypergraph, f: VectorFunction, comp: frozenset[str]):
+        self.H = H
+        self.p = f.p
+        self.alive = set(comp)
+        self.live = {e: len(H.incidence(e)) for v in comp for e in H.edges_at(v)}
+        self.res = {v: list(f[v]) for v in comp}
 
-def _exhaustive(H: Hypergraph, f: VectorFunction) -> dict[str, int] | None:
-    vs = sorted(H.vertices)
-    for choice in itertools.product(range(1, f.p + 1), repeat=len(vs)):
-        part = dict(zip(vs, choice))
-        if verify_partition(H, f, part):
-            return part
-    return None
+    def _partners(self, z: str):
+        """The other unplaced end of each edge at z with exactly two unplaced members."""
+        H, live, alive = self.H, self.live, self.alive
+        for e in H.edges_at(z):
+            if live[e] == 2:
+                for u in H.incidence(e):
+                    if u != z and u in alive:
+                        yield u
+
+    def place(self, z: str, j: int, assignment: dict[str, int]) -> list[str]:
+        """Put z into class j; return the vertices that gained slack."""
+        res = self.res
+        gained = []
+        for u in self._partners(z):
+            if res[u][j - 1]:
+                res[u][j - 1] -= 1
+            else:
+                gained.append(u)
+        for e in self.H.edges_at(z):
+            self.live[e] -= 1
+        self.alive.remove(z)
+        assignment[z] = j
+        return gained
+
+    def finish(self, s: str, assignment: dict[str, int]) -> None:
+        """Place every unplaced vertex, given s with residual sum f > degree."""
+        H, live, alive = self.H, self.live, self.alive
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in H.edges_at(v):
+                    if live[e] < 2:
+                        continue
+                    for u in H.incidence(e):
+                        if u in alive and u not in dist:
+                            dist[u] = dist[v] + 1
+                            nxt.append(u)
+            frontier = nxt
+        for v in sorted(dist, key=lambda v: (-dist[v], v)):
+            r = self.res[v]
+            self.place(v, r.index(max(r)) + 1, assignment)
+
+    def tight_steps(self, assignment: dict[str, int]) -> None:
+        """Place a tight, connected, non-hard residual into classes."""
+        while True:
+            z, j = self._tight_step()
+            gained = self.place(z, j, assignment)
+            if gained:
+                self.finish(min(gained), assignment)
+                return
+
+    def _tight_step(self) -> tuple[str, int]:
+        """A placement whose reduction is connected and not hard."""
+        res = self.res
+        Hr = self.H.shrink(self.alive)
+        sep = separating_vertices(Hr)
+        candidates = [
+            (z, j)
+            for z in sorted(self.alive - sep)
+            for j in sorted((j for j, x in enumerate(res[z], 1) if x), key=lambda j: (-res[z][j - 1], j))
+        ]
+        for z, j in candidates:
+            if any(m > res[u][j - 1] for u, m in Counter(self._partners(z)).items()):
+                return z, j
+        fr = VectorFunction(self.p, {v: res[v] for v in self.alive})
+        for z, j in candidates:
+            if is_hard(*reduce_pair(Hr, fr, z, j)) is None:
+                return z, j
+        raise AssertionError("internal error: every reduction of a non-hard tight component is hard")
 
 
 def verify_partition(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> bool:

@@ -8,6 +8,7 @@ verdicts computed once per session.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -57,35 +58,80 @@ class SweepRecord:
     hard: bool  # is_hard verdict
     oracle_partitionable: bool
     partition: dict[str, int] | None  # solve's partition when partitionable
+    verify_calls: int  # verify_partition calls made inside this solve
 
 
 @dataclass
 class Sweep:
     records: list[SweepRecord]
     instances: int
-    fallbacks: int  # solve fallback activations during the sweep
 
 
 @pytest.fixture(scope="session")
 def sweep() -> Sweep:
     rng = random.Random(SWEEP_SEED)
-    dp.reset_fallback_count()
+    partition_module = importlib.import_module("degenpart.partition")
+    verify_partition = partition_module.verify_partition
+    calls = [0]
+
+    def counting_verify_partition(*args):
+        calls[0] += 1
+        return verify_partition(*args)
+
     records: list[SweepRecord] = []
-    for _ in range(SWEEP_INSTANCES):
-        n = rng.randint(2, 5)
-        m = rng.randint(1, 8)
-        H = dp.random_hypergraph(
-            n, m, max_arity=3, max_mult=2, seed=rng.randrange(2**32), connected=True
-        )
-        for p in (2, 3):
-            for f in degree_matched_fs(H, p, rng, FS_PER_INSTANCE):
-                hard = dp.is_hard(H, f) is not None
-                verdict = dp.brute_partitionable(H, f)
-                res = dp.solve(H, f)
-                records.append(
-                    SweepRecord(H, f, hard, verdict.partitionable, res.partition)
-                )
-    return Sweep(records, SWEEP_INSTANCES, dp.fallback_count())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition_module, "verify_partition", counting_verify_partition)
+        for _ in range(SWEEP_INSTANCES):
+            n = rng.randint(2, 5)
+            m = rng.randint(1, 8)
+            H = dp.random_hypergraph(
+                n, m, max_arity=3, max_mult=2, seed=rng.randrange(2**32), connected=True
+            )
+            for p in (2, 3):
+                for f in degree_matched_fs(H, p, rng, FS_PER_INSTANCE):
+                    hard = dp.is_hard(H, f) is not None
+                    verdict = dp.brute_partitionable(H, f)
+                    calls[0] = 0
+                    res = dp.solve(H, f)
+                    records.append(
+                        SweepRecord(H, f, hard, verdict.partitionable, res.partition, calls[0])
+                    )
+    return Sweep(records, SWEEP_INSTANCES)
+
+
+def balanced_plan(parts):
+    """Glue make_hard plans pairwise into a balanced merge tree."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return ("merge", balanced_plan(parts[:mid]), balanced_plan(parts[mid:]))
+
+
+def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction]:
+    """Seeded connected n-vertex instance with sum f = d everywhere, not hard.
+
+    A vertex in a 3-edge that separates nothing gets two non-zero
+    coordinates, so its block is no base block and the pair is not hard.
+    """
+    rng = random.Random(n)
+    H = dp.random_hypergraph(n, 2 * n, max_arity=3, seed=n, connected=True)
+    sep = dp.separating_vertices(H)
+    anchor = min(
+        v
+        for v in H.vertices - sep
+        if H.degree(v) >= 2 and any(len(H.incidence(e)) == 3 for e in H.edges_at(v))
+    )
+    values = {}
+    for v in sorted(H.vertices):
+        d = H.degree(v) - 2 if v == anchor else H.degree(v)
+        vec = [0] * p
+        for _ in range(d):
+            vec[rng.randrange(p)] += 1
+        if v == anchor:
+            vec[0] += 1
+            vec[1] += 1
+        values[v] = tuple(vec)
+    return H, dp.VectorFunction(p, values)
 
 
 def layered_wheel_instance() -> dp.Hypergraph:

@@ -226,4 +226,9 @@ def test_6_cli_determinism(tmp_path):
 
 
 def test_7_no_exhaustive_fallbacks(sweep):
-    assert sweep.fallbacks == 0
+    # the solver builds one assignment and checks it once: nothing is
+    # enumerated or retried, and no partitionable instance goes unsolved
+    for rec in sweep.records:
+        if not rec.hard or rec.oracle_partitionable:
+            assert rec.partition is not None
+        assert rec.verify_calls == (1 if rec.partition is not None else 0)

@@ -1,3 +1,5 @@
+import os
+import random
 import subprocess
 import sys
 
@@ -170,6 +172,32 @@ class TestDeterminism:
             b = self._run(argv, text)
             assert a.returncode == b.returncode
             assert a.stdout == b.stdout
+
+    def test_partition_independent_of_hash_seed(self):
+        # a tight instance that takes seven tight steps, and one whose
+        # finisher meets five vertices at the same distance
+        rng = random.Random(4)
+        H = dp.random_hypergraph(8, 11, seed=4, connected=True)
+        values = {}
+        for v in sorted(H.vertices):
+            vec = [0, 0]
+            for _ in range(H.degree(v)):
+                vec[rng.randrange(2)] += 1
+            values[v] = tuple(vec)
+        K = dp.complete_uniform(6, 2)
+        g = VectorFunction(3, {v: (3, 1, 1) if v == "v1" else (2, 2, 1) for v in K.vertices})
+        for text in (emit_instance(H, VectorFunction(2, values)), emit_instance(K, g)):
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "degenpart.cli", "partition", "-"],
+                    input=text.encode(),
+                    capture_output=True,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                for seed in ("0", "1")
+            ]
+            assert runs[0].returncode == runs[1].returncode == 0
+            assert runs[0].stdout == runs[1].stdout
 
     def test_gen_seeded_reproducible(self):
         a = self._run(["gen", "random", "--n", "6", "--m", "7", "--seed", "9"], "")

@@ -6,6 +6,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
+from conftest import balanced_plan
 
 
 class TestVectorFunction:
@@ -173,19 +174,33 @@ class TestCertificates:
         )
         assert not dp.verify_certificate(H, f, cert)
 
+    def test_verify_builds_blocks_without_induced_copies(self, monkeypatch):
+        rng = random.Random(3)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=3) for _ in range(60)]
+        H, f = dp.make_hard(balanced_plan(bases), 3, seed=3)
+        cert = dp.is_hard(H, f)
+        calls = [0]
+        induced = Hypergraph.induced
+
+        def counting_induced(self, X):
+            calls[0] += 1
+            return induced(self, X)
+
+        monkeypatch.setattr(Hypergraph, "induced", counting_induced)
+        assert dp.verify_certificate(H, f, cert)
+        fns = list(cert.block_functions)
+        v = min(fns[-1])
+        fns[-1] = {**fns[-1], v: tuple(x + 1 for x in fns[-1][v])}
+        bad = dp.HardPairCertificate(cert.blocks, cert.tags, tuple(fns))
+        assert not dp.verify_certificate(H, f, bad)
+        assert calls[0] == 0
+
     def test_wrong_tag_type_fails(self):
         H = dp.cycle(5)
         f = VectorFunction.constant(H.vertices, (1, 1))
         cert = dp.is_hard(H, f)
         bad = dp.HardPairCertificate(cert.blocks, (KTag(1, (1, 1)),), cert.block_functions)
         assert not dp.verify_certificate(H, f, bad)
-
-
-def _balanced(parts):
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return ("merge", _balanced(parts[:mid]), _balanced(parts[mid:]))
 
 
 def _chain(parts):
@@ -198,7 +213,7 @@ def _chain(parts):
 class TestIsHardAtScale:
     """300-block make_hard pairs: no oracle, the certificate checks itself."""
 
-    @pytest.mark.parametrize("shape", [_balanced, _chain], ids=["balanced", "chain"])
+    @pytest.mark.parametrize("shape", [balanced_plan, _chain], ids=["balanced", "chain"])
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_certificate_and_raised_coordinate(self, shape, p):
         rng = random.Random(p)

@@ -6,7 +6,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import layered_wheel_instance
+from conftest import balanced_plan, layered_wheel_instance, tight_instance
 
 
 def const(H, vec):
@@ -111,51 +111,86 @@ class TestReduction:
                 assert dp.brute_partitionable(Hu, f.restrict(Hu.vertices)).partitionable
 
 
+def count_calls(monkeypatch, counts, owner, name):
+    """Count the calls to owner.name in counts[name] for the rest of the test."""
+    original = getattr(owner, name)
+    counts[name] = 0
+
+    def counting(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
 class TestComplexity:
     def test_one_shrink_per_reduction_on_tight_instance(self, monkeypatch):
-        # sum f = d everywhere; a vertex in a 3-edge that separates nothing
-        # gets two non-zero coordinates, so its block is no base block and
-        # the pair is not hard
-        rng = random.Random(60)
-        H = dp.random_hypergraph(60, 120, max_arity=3, seed=60, connected=True)
-        sep = dp.separating_vertices(H)
-        anchor = min(
-            v
-            for v in H.vertices - sep
-            if H.degree(v) >= 2 and any(len(H.incidence(e)) == 3 for e in H.edges_at(v))
-        )
-        p = 3
-        values = {}
-        for v in sorted(H.vertices):
-            d = H.degree(v) - 2 if v == anchor else H.degree(v)
-            vec = [0] * p
-            for _ in range(d):
-                vec[rng.randrange(p)] += 1
-            if v == anchor:
-                vec[0] += 1
-                vec[1] += 1
-            values[v] = tuple(vec)
-        f = VectorFunction(p, values)
-
+        H, f = tight_instance(60)
         partition_module = importlib.import_module("degenpart.partition")
-        counts = {"shrink_away": 0, "reduce_pair": 0}
-        shrink_away = Hypergraph.shrink_away
-        reduce_pair = partition_module.reduce_pair
-
-        def counting_shrink_away(self, X):
-            counts["shrink_away"] += 1
-            return shrink_away(self, X)
-
-        def counting_reduce_pair(*args):
-            counts["reduce_pair"] += 1
-            return reduce_pair(*args)
-
-        monkeypatch.setattr(Hypergraph, "shrink_away", counting_shrink_away)
-        monkeypatch.setattr(partition_module, "reduce_pair", counting_reduce_pair)
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, Hypergraph, "shrink_away")
+        count_calls(monkeypatch, counts, partition_module, "reduce_pair")
+        # each tight step takes the separating vertices of the residual once
+        count_calls(monkeypatch, counts, partition_module, "separating_vertices")
         res = dp.solve(H, f)
         assert res.partitionable
-        assert counts["reduce_pair"] >= H.order - 1
-        assert counts["shrink_away"] == counts["reduce_pair"]
+        assert counts["separating_vertices"] >= 1
+        assert counts["shrink_away"] == counts["reduce_pair"] <= counts["separating_vertices"]
+
+    def test_slack_seeking_step_needs_no_reduction(self, monkeypatch):
+        # tight triangle, not hard; placing a into class 1 leaves c, with
+        # f_1(c) = 0 < mu(a, c), holding slack
+        H = Hypergraph("abc", {"e1": "ab", "e2": "bc", "e3": "ca"})
+        f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
+        partition_module = importlib.import_module("degenpart.partition")
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, partition_module, "is_hard")
+        count_calls(monkeypatch, counts, partition_module, "reduce_pair")
+        res = dp.solve(H, f)
+        assert counts == {"is_hard": 1, "reduce_pair": 0}
+        assert res.partition["a"] == 1
+        assert dp.verify_partition(H, f, res.partition)
+
+    def test_slack_needs_no_recognition_or_shrinking(self, monkeypatch):
+        p = 4
+        rng = random.Random(p)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(300)]
+        H, f = dp.make_hard(balanced_plan(bases), p, seed=p)
+        v = min(H.vertices)
+        g = f.with_value(v, (f[v][0] + 1,) + f[v][1:])
+        partition_module = importlib.import_module("degenpart.partition")
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, partition_module, "is_hard")
+        count_calls(monkeypatch, counts, partition_module, "separating_vertices")
+        count_calls(monkeypatch, counts, Hypergraph, "shrink_away")
+        res = dp.solve(H, g)
+        assert counts == {"is_hard": 0, "separating_vertices": 0, "shrink_away": 0}
+        assert dp.verify_partition(H, g, res.partition)
+
+
+class TestScale:
+    """Instances far past the oracle's reach: every partition checks itself
+    by peeling, and the iterative solver stays within the default
+    recursion limit."""
+
+    def test_long_path(self):
+        H = dp.path(2000)
+        f = const(H, (1, 1))
+        assert dp.verify_partition(H, f, dp.solve(H, f).partition)
+
+    def test_tight_random_instance(self):
+        H, f = tight_instance(2000)
+        assert dp.verify_partition(H, f, dp.solve(H, f).partition)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_raised_hard_pair(self, p):
+        rng = random.Random(100 + p)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(100)]
+        H, f = dp.make_hard(balanced_plan(bases), p, seed=p)
+        v = rng.choice(sorted(H.vertices))
+        j = rng.randrange(p)
+        raised = f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
+        assert dp.verify_partition(H, raised, dp.solve(H, raised).partition)
 
 
 class TestVerifyPartition:
