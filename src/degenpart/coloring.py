@@ -119,13 +119,16 @@ def point_partition_number(H: Hypergraph, s: int, strict: bool = True) -> int:
     the convention where "s-degenerate" means strictly (s+1)-degenerate,
     so the two differ by a shift of the level.
     """
-    if s < 1 or (not strict and s < 0):
+    if s < (1 if strict else 0):
         raise ValueError("degeneracy level out of range")
     level = s if strict else s + 1
     if H.is_empty:
         return 0
+    # one class: H itself must be strictly level-degenerate, which peeling decides
+    if is_strictly_degenerate(H, dict.fromkeys(H.vertices, level)):
+        return 1
     dmax = H.max_degree()
-    p = 1
+    p = 2
     while True:
         f = VectorFunction.constant(H.vertices, (level,) * p)
         if p * level >= dmax:

@@ -5,10 +5,16 @@ into strictly f_i-degenerate classes exactly when it belongs to a
 recursive family built from three kinds of base blocks -- monoblocks (all
 of f on one coordinate, equal to the degree), uniformly multiplied
 complete graphs, and odd uniformly multiplied cycles -- glued together at
-single vertices with f adding up at the glue point.  Such pairs are
-recognized here by stripping leaf blocks off the block tree: the value of
-f on any vertex private to one block pins down that block's share of f,
-and the shares must add up exactly at the shared vertices.
+single vertices with f adding up at the glue point.
+
+Each base type is defined once: `block_function` gives the share of f
+that a block with a given tag carries (None when the tag's parameters are
+invalid), and `_has_shape` tests the block against tK_n or tC_n.
+Recognition (`is_hard`, `classify_block`), verification
+(`verify_certificate`) and construction (`make_hard`) all read these two.
+`is_hard` strips leaf blocks off the block tree: the value of f on the
+vertices private to one block pins down that block's tag and share, and
+the shares must add up exactly at the shared vertices.
 """
 
 from __future__ import annotations
@@ -156,63 +162,67 @@ class HardPairCertificate:
         )
 
 
-def _tag_matches(B: Hypergraph, fB: Mapping[str, tuple[int, ...]], p: int, tag: BlockTypeTag) -> bool:
-    """Direct check of the defining equations of one block type."""
+def block_function(B: Hypergraph, tag: BlockTypeTag, p: int) -> dict[str, tuple[int, ...]] | None:
+    """The share of f that block B carries under tag, or None when the tag's
+    parameters are invalid for p and the order of B.
+
+    M gives d_B(v) * e_j; K gives t * counts with sum(counts) = |B| - 1 and
+    two non-zero counts; C gives t * (e_k + e_l) with |B| odd and >= 5.
+    t >= 1 is left to `_has_shape`, as t_fold_*_parameters never return less.
+    """
+    n = B.order
     if isinstance(tag, MTag):
         if not 1 <= tag.j <= p:
-            return False
-        for v in B.vertices:
-            want = tuple(B.degree(v) if i == tag.j else 0 for i in range(1, p + 1))
-            if fB[v] != want:
-                return False
-        return True
+            return None
+        return {v: tuple(B.degree(v) if i == tag.j else 0 for i in range(1, p + 1)) for v in B.vertices}
     if isinstance(tag, KTag):
-        if len(tag.counts) != p or tag.t < 1:
-            return False
-        n = sum(tag.counts) + 1
-        if n < 3 or sum(1 for c in tag.counts if c) < 2:
-            return False
-        if t_fold_complete_parameters(B) != (tag.t, n):
-            return False
-        want = tuple(tag.t * c for c in tag.counts)
-        return all(fB[v] == want for v in B.vertices)
-    if isinstance(tag, CTag):
-        if tag.k == tag.l or not (1 <= tag.k <= p and 1 <= tag.l <= p) or tag.t < 1:
-            return False
-        n = B.order
-        if n < 5 or n % 2 == 0:
-            return False
-        if t_fold_cycle_parameters(B) != (tag.t, n):
-            return False
-        want = tuple(tag.t if i in (tag.k, tag.l) else 0 for i in range(1, p + 1))
-        return all(fB[v] == want for v in B.vertices)
-    return False
-
-
-def _classify(B: Hypergraph, fB: Mapping[str, tuple[int, ...]], p: int) -> BlockTypeTag | None:
-    support = {j for vec in fB.values() for j, x in enumerate(vec, 1) if x}
-    if len(support) <= 1:
-        tag = MTag(min(support) if support else 1)
-        return tag if _tag_matches(B, fB, p, tag) else None
-    vals = {fB[v] for v in B.vertices}
-    if len(vals) != 1:
+        counts = tag.counts
+        if len(counts) != p or min(counts) < 0 or sum(map(bool, counts)) < 2 or sum(counts) != n - 1:
+            return None
+        vec = tuple(tag.t * c for c in counts)
+    elif isinstance(tag, CTag):
+        if tag.k == tag.l or not (1 <= tag.k <= p and 1 <= tag.l <= p) or n < 5 or n % 2 == 0:
+            return None
+        vec = tuple(tag.t if i in (tag.k, tag.l) else 0 for i in range(1, p + 1))
+    else:
         return None
-    g = vals.pop()
-    params = t_fold_complete_parameters(B)
-    if params is not None and params[1] >= 3:
-        t = params[0]
-        if all(x % t == 0 for x in g):
-            tag = KTag(t, tuple(x // t for x in g))
-            if _tag_matches(B, fB, p, tag):
-                return tag
-    params = t_fold_cycle_parameters(B)
-    if params is not None:
-        t = params[0]
-        nz = [j for j, x in enumerate(g, 1) if x]
-        if len(nz) == 2 and all(g[j - 1] == t for j in nz):
-            tag = CTag(t, nz[0], nz[1])
-            if _tag_matches(B, fB, p, tag):
-                return tag
+    return dict.fromkeys(B.vertices, vec)
+
+
+def _has_shape(B: Hypergraph, tag: BlockTypeTag) -> bool:
+    """K needs B = tK_n and C needs B = tC_n; a monoblock may be any block."""
+    if isinstance(tag, KTag):
+        return t_fold_complete_parameters(B) == (tag.t, B.order)
+    if isinstance(tag, CTag):
+        return t_fold_cycle_parameters(B) == (tag.t, B.order)
+    return True
+
+
+def _recognize(
+    B: Hypergraph, pinned: Mapping[str, tuple[int, ...]], p: int
+) -> tuple[BlockTypeTag, dict[str, tuple[int, ...]]] | None:
+    """The tag of block B and its share, agreeing with pinned where given.
+
+    The smallest pinned vertex's vector g allows the tags: M when g has at
+    most one non-zero coordinate; otherwise K with t = |E(B)| / C(n, 2), and
+    C when g's two non-zero entries are equal.
+    """
+    g = pinned[min(pinned)]
+    nz = [j for j, x in enumerate(g, 1) if x]
+    if len(nz) <= 1:
+        tags: list[BlockTypeTag] = [MTag(nz[0] if nz else 1)]
+    else:
+        tags = []
+        pairs = B.order * (B.order - 1) // 2
+        t = B.size // pairs if pairs and B.size % pairs == 0 else 0
+        if t and all(x % t == 0 for x in g):
+            tags.append(KTag(t, tuple(x // t for x in g)))
+        if len(nz) == 2 and g[nz[0] - 1] == g[nz[1] - 1]:
+            tags.append(CTag(g[nz[0] - 1], nz[0], nz[1]))
+    for tag in tags:
+        share = block_function(B, tag, p)
+        if share is not None and all(share[v] == x for v, x in pinned.items()) and _has_shape(B, tag):
+            return tag, share
     return None
 
 
@@ -222,7 +232,8 @@ def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
         raise ValueError("classify_block expects a connected block without separating vertices")
     if fB.vertices != B.vertices:
         raise ValueError("block function domain does not match the block")
-    return _classify(B, {v: fB[v] for v in B.vertices}, fB.p)
+    found = _recognize(B, {v: fB[v] for v in B.vertices}, fB.p)
+    return found[0] if found else None
 
 
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
@@ -231,20 +242,16 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     Strips leaf blocks off the block tree, always the leaf of smallest
     index next: a min-heap holds the remaining blocks with at most one
     vertex shared with another remaining block, and a block joins it when
-    its shared-vertex count drops to one.  Vertices lying in a single
-    remaining block pin the block's share of f; at the shared vertex the
-    share is inferred from the only patterns that can extend (constant,
-    or degree-proportional on one coordinate) and subtracted from the
-    running residual, which must stay non-negative.
+    its shared-vertex count drops to one.  The residual f at the vertices
+    lying in a single remaining block pins the block's tag and share; the
+    share is subtracted from the residual at the shared vertex, which must
+    stay non-negative.
     """
-    if H.is_empty or not is_connected(H):
-        raise ValueError("is_hard expects a connected non-empty hypergraph")
+    bt = blocks(H)
     if f.vertices != H.vertices:
         raise ValueError("vector function domain does not match the hypergraph")
-    p = f.p
     if any(f.sum_at(v) != H.degree(v) for v in H.vertices):
         return None
-    bt = blocks(H)
     nb = len(bt.blocks)
     # blocks_of[v]: the remaining blocks holding v; stripping a leaf updates
     # only its shared vertex, as the others are private to it
@@ -257,49 +264,24 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     for _ in range(nb):
         leaf = heapq.heappop(leaves)
         bset = bt.blocks[leaf]
-        B = Hypergraph(bset, block_edges[leaf])
-        shared = [v for v in bset if len(blocks_of[v]) >= 2]
-        pinned = {v: residual[v] for v in bset if len(blocks_of[v]) == 1}
-        candidates: list[dict[str, tuple[int, ...]]] = []
-        if not shared:
-            candidates.append(pinned)
-        else:
-            c = shared[0]
-            vals = set(pinned.values())
-            if len(vals) == 1:
-                candidates.append({**pinned, c: vals.pop()})
-            support = {j for vec in pinned.values() for j, x in enumerate(vec, 1) if x}
-            if len(support) <= 1:
-                j = min(support) if support else 1
-                cand = {
-                    **pinned,
-                    c: tuple(B.degree(c) if i == j else 0 for i in range(1, p + 1)),
-                }
-                if cand not in candidates:
-                    candidates.append(cand)
-        tag = None
-        fB = None
-        for cand in candidates:
-            tag = _classify(B, cand, p)
-            if tag is not None:
-                fB = cand
-                break
-        if tag is None or fB is None:
+        found = _recognize(
+            Hypergraph(bset, block_edges[leaf]), {v: residual[v] for v in bset if len(blocks_of[v]) == 1}, f.p
+        )
+        if found is None:
             return None
-        tags[leaf] = tag
-        fns[leaf] = fB
-        if shared:
-            c = shared[0]
-            left = tuple(a - b for a, b in zip(residual[c], fB[c]))
-            if any(x < 0 for x in left):
-                return None
-            residual[c] = left
-            blocks_of[c].remove(leaf)
-            if len(blocks_of[c]) == 1:
-                (other,) = blocks_of[c]
-                n_shared[other] -= 1
-                if n_shared[other] == 1:
-                    heapq.heappush(leaves, other)
+        tags[leaf], fns[leaf] = found
+        for c in bset:
+            if len(blocks_of[c]) >= 2:  # the leaf's one shared vertex
+                left = tuple(a - b for a, b in zip(residual[c], fns[leaf][c]))
+                if min(left) < 0:
+                    return None
+                residual[c] = left
+                blocks_of[c].remove(leaf)
+                if len(blocks_of[c]) == 1:
+                    (other,) = blocks_of[c]
+                    n_shared[other] -= 1
+                    if n_shared[other] == 1:
+                        heapq.heappush(leaves, other)
     return HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))  # type: ignore[arg-type]
 
 
@@ -340,23 +322,15 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
         return False
     if f.vertices != H.vertices:
         return False
-    p = f.p
     blocks_of, block_edges = _block_parts(H, bt)
     for bset, edges, tag, fB in zip(cert.blocks, block_edges, cert.tags, cert.block_functions):
-        if set(fB) != set(bset):
-            return False
-        if any(len(vec) != p or any(x < 0 for x in vec) for vec in fB.values()):
-            return False
-        if not _tag_matches(Hypergraph(bset, edges), fB, p, tag):
+        B = Hypergraph(bset, edges)
+        if fB != block_function(B, tag, f.p) or not _has_shape(B, tag):
             return False
     for v, held in blocks_of.items():
-        total = tuple(sum(cert.block_functions[i][v][k] for i in held) for k in range(p))
+        total = tuple(sum(cert.block_functions[i][v][k] for i in held) for k in range(f.p))
         if total != f[v]:
             return False
-        if v not in bt.cut_vertices:
-            (i,) = held
-            if cert.block_functions[i][v] != f[v]:
-                return False
     return True
 
 
@@ -371,10 +345,7 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
 
 def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
     """Build a non-partitionable pair from a plan; merge points come from seed."""
-    rng = random.Random(seed)
-    counter = [0]
-    H, f = _build_plan(plan, p, rng, counter)
-    return H, f
+    return _build_plan(plan, p, random.Random(seed), [0])
 
 
 def _build_plan(plan, p: int, rng: random.Random, counter: list[int]) -> tuple[Hypergraph, VectorFunction]:
@@ -394,31 +365,24 @@ def _build_plan(plan, p: int, rng: random.Random, counter: list[int]) -> tuple[H
         values[vstar] = glued
         return H, VectorFunction(p, values)
     counter[0] += 1
-    prefix = f"b{counter[0]}"
     if kind == "M":
         _, B, j = plan
         if not is_connected(B) or separating_vertices(B):
             raise ValueError("M plan block must be connected without separating vertices")
-        H = _relabel(B, prefix)
-        return H, VectorFunction.from_degrees(H, j, p)
-    if kind == "K":
+        tag: BlockTypeTag = MTag(j)
+    elif kind == "K":
         _, t, counts = plan
-        counts = tuple(counts)
-        if len(counts) != p:
-            raise ValueError(f"K plan counts must have length {p}")
-        n = sum(counts) + 1
-        if n < 3 or sum(1 for c in counts if c) < 2 or t < 1:
-            raise ValueError("K plan needs t >= 1, sum(counts) >= 2 and two nonzero counts")
-        H = _relabel(t_fold(complete_uniform(n, 2), t), prefix)
-        return H, VectorFunction.constant(H.vertices, tuple(t * c for c in counts))
-    if kind == "C":
+        B, tag = t_fold(complete_uniform(sum(counts) + 1, 2), t), KTag(t, tuple(counts))
+    elif kind == "C":
         _, t, n, k, l = plan
-        if n < 5 or n % 2 == 0 or t < 1 or k == l or not (1 <= k <= p and 1 <= l <= p):
-            raise ValueError("C plan needs odd n >= 5, t >= 1 and distinct coordinates")
-        H = _relabel(t_fold(cycle(n), t), prefix)
-        vec = tuple(t if i in (k, l) else 0 for i in range(1, p + 1))
-        return H, VectorFunction.constant(H.vertices, vec)
-    raise ValueError(f"unknown plan kind {kind!r}")
+        B, tag = t_fold(cycle(n), t), CTag(t, k, l)
+    else:
+        raise ValueError(f"unknown plan kind {kind!r}")
+    H = _relabel(B, f"b{counter[0]}")
+    share = block_function(H, tag, p)
+    if share is None:
+        raise ValueError(f"{kind} plan parameters are invalid for p = {p}")
+    return H, VectorFunction(p, share)
 
 
 def _relabel(H: Hypergraph, prefix: str) -> Hypergraph:

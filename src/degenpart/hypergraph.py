@@ -21,7 +21,7 @@ class Hypergraph:
     parallel edges are allowed and kept as separate records.
     """
 
-    __slots__ = ("_vertices", "_incidence", "_edge_order", "_at", "_hash")
+    __slots__ = ("_vertices", "_incidence", "_edge_order", "_at")
 
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, Iterable[str]] = ()):
         vs = frozenset(vertices)
@@ -44,7 +44,6 @@ class Hypergraph:
             for v in incidence[eid]:
                 at[v].append(eid)
         self._at = {v: tuple(es) for v, es in at.items()}
-        self._hash = hash((vs, tuple((e, incidence[e]) for e in self._edge_order)))
 
     # -- basic accessors ------------------------------------------------
 
@@ -81,7 +80,7 @@ class Hypergraph:
         return self._vertices == other._vertices and self._incidence == other._incidence
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._vertices, tuple((e, self._incidence[e]) for e in self._edge_order)))
 
     def __repr__(self) -> str:
         return f"Hypergraph({len(self._vertices)} vertices, {len(self._incidence)} edges)"

@@ -100,6 +100,11 @@ class TestCommands:
         assert capsys.readouterr().out == "alpha 3\n"
         assert main(["alpha", path, "--s", "1", "--lick-white"]) == 0
         assert capsys.readouterr().out == "alpha 3\n"
+        assert main(["alpha", path, "--s", "0", "--lick-white"]) == 0
+        assert capsys.readouterr().out == "alpha 5\n"
+        path12 = write(tmp_path, "p12.hg", emit_instance(dp.path(12)))
+        assert main(["alpha", path12, "--s", "1"]) == 0
+        assert capsys.readouterr().out == "alpha 2\n"
 
     def test_gen_round_trips(self, capsys):
         assert main(["gen", "cycle", "--n", "6"]) == 0

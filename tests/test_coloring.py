@@ -173,6 +173,17 @@ class TestPointPartitionNumber:
     def test_conventions_differ_by_level(self):
         K5 = dp.complete_uniform(5, 2)
         assert dp.point_partition_number(K5, 1, strict=False) == dp.point_partition_number(K5, 2)
+        assert dp.point_partition_number(K5, 0, strict=False) == dp.point_partition_number(K5, 1) == 5
+        with pytest.raises(ValueError, match="out of range"):
+            dp.point_partition_number(K5, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            dp.point_partition_number(K5, -1, strict=False)
+
+    def test_one_class_decided_by_peeling(self):
+        # p = 1 is below max degree / s, but needs no oracle: path(12) is
+        # past the oracle's size guard
+        assert dp.point_partition_number(dp.path(12), 1) == 2
+        assert dp.point_partition_number(dp.path(12), 2) == 1
 
     def test_independence_number_flavour(self):
         # level 1 classes are independent sets, so this is proper coloring

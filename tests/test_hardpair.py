@@ -101,6 +101,13 @@ class TestIsHard:
         assert sorted(t.j for t in cert.tags) == [1, 2]
         assert dp.verify_certificate(H, f, cert)
 
+    def test_complete_share_on_other_shape_not_hard(self):
+        # 6 edges and degree 3 at each of 4 vertices, as in K4, but not K4
+        H = Hypergraph("abcd", {"h1": "abcd", "h2": "abcd", "e1": "ab", "e2": "cd"})
+        f = VectorFunction.constant(H.vertices, (2, 1))
+        assert dp.is_hard(H, f) is None
+        assert dp.brute_partitionable(H, f).partitionable
+
     def test_disconnected_rejected(self):
         H = Hypergraph("abcd", {"e1": "ab", "e2": "cd"})
         with pytest.raises(ValueError):
@@ -201,6 +208,84 @@ class TestCertificates:
         cert = dp.is_hard(H, f)
         bad = dp.HardPairCertificate(cert.blocks, (KTag(1, (1, 1)),), cert.block_functions)
         assert not dp.verify_certificate(H, f, bad)
+
+    @pytest.mark.parametrize(
+        "H, vec, tag",
+        [
+            (dp.complete_uniform(3, 2), (2, 0), KTag(1, (2, 0))),  # one non-zero count
+            (dp.complete_uniform(3, 2), (1, 1), KTag(1, (1, 1, 0))),  # counts longer than p
+            (dp.complete_uniform(3, 2), (1, 1), CTag(1, 1, 2)),  # a triangle is no C block
+            (dp.cycle(5), (2, 0), CTag(1, 1, 1)),  # k == l
+            (dp.complete_uniform(5, 2), (2, 2), CTag(2, 1, 2)),  # K5 is no 2-fold C5
+        ],
+    )
+    def test_invalid_tag_parameters_fail(self, H, vec, tag):
+        # the block and its function are a genuine hard pair; only the tag is invalid
+        f = VectorFunction.constant(H.vertices, vec)
+        cert = dp.is_hard(H, f)
+        assert dp.verify_certificate(H, f, cert)
+        bad = dp.HardPairCertificate(cert.blocks, (tag,), cert.block_functions)
+        assert not dp.verify_certificate(H, f, bad)
+
+    @pytest.mark.parametrize(
+        "vec, tag, share",
+        [
+            ((2, 2), KTag(1, (2, 2)), (2, 2)),  # slack: t * counts must sum to t * (n - 1)
+            ((1, 1, 0), KTag(1, (1, 1)), (1, 1)),  # block function of the wrong length
+        ],
+    )
+    def test_forged_triangle_certificate_fails(self, vec, tag, share):
+        H = dp.complete_uniform(3, 2)
+        f = VectorFunction.constant(H.vertices, vec)
+        bad = dp.HardPairCertificate((H.vertices,), (tag,), (dict.fromkeys(H.vertices, share),))
+        assert not dp.verify_certificate(H, f, bad)
+
+    def test_shares_must_add_up_to_f(self):
+        H = dp.cycle(5)
+        cert = dp.is_hard(H, VectorFunction.constant(H.vertices, (1, 1)))
+        assert not dp.verify_certificate(H, VectorFunction.constant(H.vertices, (2, 0)), cert)
+
+    def test_negative_count_fails_even_when_shares_add_up(self):
+        # a triangle with a pendant edge at each corner and f = (3, 0) on the
+        # triangle is partitionable; a K share (3, -1) on the triangle plus
+        # (0, 1) from each pendant monoblock would still add up to f
+        H = Hypergraph("abcxyz", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "ax", "e5": "by", "e6": "cz"})
+        f = VectorFunction(2, {**dict.fromkeys("abc", (3, 0)), **dict.fromkeys("xyz", (0, 1))})
+        assert dp.is_hard(H, f) is None
+        bt = dp.blocks(H)
+        tags = tuple(KTag(1, (3, -1)) if len(b) == 3 else MTag(2) for b in bt.blocks)
+        fns = tuple(dict.fromkeys(b, (3, -1)) if len(b) == 3 else dict.fromkeys(b, (0, 1)) for b in bt.blocks)
+        assert not dp.verify_certificate(H, f, dp.HardPairCertificate(bt.blocks, tags, fns))
+
+    def test_classify_block_returns_certificate_tags(self):
+        for seed in range(200):
+            p = random.Random(seed).randint(2, 4)
+            H, f = dp.make_hard(dp.random_hard_plan(seed, max_blocks=4, p=p), p, seed=seed)
+            cert = dp.is_hard(H, f)
+            for bset, tag, fB in zip(cert.blocks, cert.tags, cert.block_functions):
+                assert dp.classify_block(H.induced(bset), VectorFunction(p, fB)) == tag
+
+
+class TestMakeHardRejectsInvalidPlans:
+    @pytest.mark.parametrize(
+        "plan, p",
+        [
+            (("K", 1, (1, 1)), 3),  # len(counts) != p
+            (("K", 1, (2, 0)), 2),  # one non-zero count
+            (("K", 0, (1, 1)), 2),  # t = 0
+            (("C", 0, 5, 1, 2), 2),  # t = 0
+            (("C", 1, 6, 1, 2), 2),  # even n
+            (("C", 1, 3, 1, 2), 2),  # n = 3
+            (("C", 1, 5, 2, 2), 2),  # k == l
+            (("C", 1, 5, 1, 3), 2),  # coordinate out of range
+            (("M", dp.cycle(4), 3), 2),  # j > p
+            (("M", dp.path(3), 1), 2),  # separating vertex
+            (("merge", ("C", 1, 5, 1, 2), ("K", 1, (2, 0))), 2),  # invalid inside a merge
+        ],
+    )
+    def test_raises(self, plan, p):
+        with pytest.raises(ValueError):
+            dp.make_hard(plan, p)
 
 
 def _chain(parts):
