@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a partition or coloring was found or a property
 verified; 2 when the answer is a non-partitionability certificate (or a
-check found disagreements); 1 for usage and parse errors.
+check found disagreements); 1 for usage, parse and argument errors, and
+for any internal error, which is reported on one line.
 """
 
 from __future__ import annotations
@@ -153,9 +154,7 @@ def _cmd_gen(args) -> int:
         return 0
     else:
         raise ValueError(f"unknown shape {args.shape!r}")
-    if args.t > 1:
-        H = t_fold(H, args.t)
-    sys.stdout.write(emit_instance(H))
+    sys.stdout.write(emit_instance(t_fold(H, args.t)))
     return 0
 
 
@@ -168,6 +167,8 @@ def _random_vector(rng: random.Random, d: int, p: int) -> tuple[int, ...]:
 
 def _sweep_instances(max_n: int, p: int, seed: int, count: int):
     """Seeded connected instances with f matching the degrees pointwise."""
+    if max_n < 2 or p < 1:
+        raise ValueError(f"need --max-n >= 2 and --p >= 1, got --max-n {max_n} --p {p}")
     rng = random.Random(seed)
     for i in range(count):
         n = rng.randint(2, max_n)
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

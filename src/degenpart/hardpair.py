@@ -15,6 +15,11 @@ Recognition (`is_hard`, `classify_block`), verification
 `is_hard` strips leaf blocks off the block tree: the value of f on the
 vertices private to one block pins down that block's tag and share, and
 the shares must add up exactly at the shared vertices.
+
+`make_hard` walks a plan of base blocks and merges (the paper's merging of
+a vertex) once, in post-order with an explicit stack, so any depth works.
+It accumulates vertices, edges and f in shared dicts, with each merge
+gluing two vertices into a new one, and builds one `Hypergraph` at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .hypergraph import (
     Hypergraph,
     complete_uniform,
     cycle,
-    merge,
     t_fold,
     t_fold_complete_parameters,
     t_fold_cycle_parameters,
@@ -344,55 +348,76 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
 
 
 def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
-    """Build a non-partitionable pair from a plan; merge points come from seed."""
-    return _build_plan(plan, p, random.Random(seed), [0])
+    """Build a non-partitionable pair from a plan; merge points come from seed.
+
+    Plan nodes are numbered k = 1, 2, ... in post-order: base block k names
+    its vertices "b<k>.<v>", and merge k glues one vertex drawn from each
+    part's sorted vertex names into "m<k>".
+    """
+    rng = random.Random(seed)
+    values: dict[str, tuple[int, ...]] = {}
+    edges: dict[str, list[str]] = {}
+    glued: dict[str, str] = {}
+    parts: list[list[str]] = []  # sorted vertex names of each finished part
+    k = 0
+    stack = [(plan, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node[0] == "merge" and not expanded:
+            _, left, right = node
+            stack += [(node, True), (right, False), (left, False)]
+            continue
+        k += 1
+        if expanded:
+            right_vs, left_vs = parts.pop(), parts.pop()
+            v1 = rng.choice(left_vs)
+            v2 = rng.choice(right_vs)
+            vstar = f"m{k}"
+            glued[v1] = glued[v2] = vstar
+            values[vstar] = tuple(a + b for a, b in zip(values.pop(v1), values.pop(v2)))
+            left_vs.remove(v1)
+            right_vs.remove(v2)
+            parts.append(sorted(left_vs + right_vs + [vstar]))
+            continue
+        B, tag = _base_block(node)
+        share = block_function(B, tag, p)
+        if share is None:
+            raise ValueError(f"{node[0]} plan parameters are invalid for p = {p}")
+        name = {v: f"b{k}.{v}" for v in B.vertices}
+        for v, vec in share.items():
+            values[name[v]] = vec
+        for e in B.edge_ids:
+            edges[f"b{k}.{e}"] = [name[v] for v in B.incidence(e)]
+        parts.append(sorted(name.values()))
+    # a name glued into m<k> was recorded before m<k> itself was glued, so
+    # resolving in reverse order meets each m<k>'s final name first
+    for old, new in reversed(glued.items()):
+        glued[old] = glued.get(new, new)
+    final = {e: [glued.get(v, v) for v in m] for e, m in edges.items()}
+    return Hypergraph(values.keys(), final), VectorFunction(p, values)
 
 
-def _build_plan(plan, p: int, rng: random.Random, counter: list[int]) -> tuple[Hypergraph, VectorFunction]:
+def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:
+    """The block and tag of an M, K or C plan, with the block's own names."""
     kind = plan[0]
-    if kind == "merge":
-        _, left, right = plan
-        H1, f1 = _build_plan(left, p, rng, counter)
-        H2, f2 = _build_plan(right, p, rng, counter)
-        v1 = rng.choice(sorted(H1.vertices))
-        v2 = rng.choice(sorted(H2.vertices))
-        counter[0] += 1
-        vstar = f"m{counter[0]}"
-        H = merge(H1, v1, H2, v2, vstar)
-        glued = tuple(a + b for a, b in zip(f1[v1], f2[v2]))
-        values = {v: f1[v] for v in H1.vertices if v != v1}
-        values.update({v: f2[v] for v in H2.vertices if v != v2})
-        values[vstar] = glued
-        return H, VectorFunction(p, values)
-    counter[0] += 1
     if kind == "M":
         _, B, j = plan
         if not is_connected(B) or separating_vertices(B):
             raise ValueError("M plan block must be connected without separating vertices")
-        tag: BlockTypeTag = MTag(j)
-    elif kind == "K":
+        return B, MTag(j)
+    if kind == "K":
         _, t, counts = plan
-        B, tag = t_fold(complete_uniform(sum(counts) + 1, 2), t), KTag(t, tuple(counts))
-    elif kind == "C":
+        return t_fold(complete_uniform(sum(counts) + 1, 2), t), KTag(t, tuple(counts))
+    if kind == "C":
         _, t, n, k, l = plan
-        B, tag = t_fold(cycle(n), t), CTag(t, k, l)
-    else:
-        raise ValueError(f"unknown plan kind {kind!r}")
-    H = _relabel(B, f"b{counter[0]}")
-    share = block_function(H, tag, p)
-    if share is None:
-        raise ValueError(f"{kind} plan parameters are invalid for p = {p}")
-    return H, VectorFunction(p, share)
-
-
-def _relabel(H: Hypergraph, prefix: str) -> Hypergraph:
-    vmap = {v: f"{prefix}.{v}" for v in H.vertices}
-    edges = {f"{prefix}.{e}": frozenset(vmap[v] for v in m) for e, m in H.edges().items()}
-    return Hypergraph(vmap.values(), edges)
+        return t_fold(cycle(n), t), CTag(t, k, l)
+    raise ValueError(f"unknown plan kind {kind!r}")
 
 
 def random_hard_plan(seed: int, max_blocks: int = 4, p: int = 2):
     """Seeded random build plan with 1..max_blocks base blocks."""
+    if max_blocks < 1 or p < 1:
+        raise ValueError(f"random_hard_plan needs max_blocks >= 1 and p >= 1, got {max_blocks} and {p}")
     rng = random.Random(seed)
     nblocks = rng.randint(1, max_blocks)
     plan = _random_base(rng, p)

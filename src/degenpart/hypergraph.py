@@ -100,6 +100,7 @@ class Hypergraph:
         return max((len(es) for es in self._at.values()), default=0)
 
     def min_degree(self) -> int:
+        """Kept for the benchmark's workload generator, its one caller."""
         return min((len(es) for es in self._at.values()), default=0)
 
     def multiplicity(self, u: str, v: str) -> int:
@@ -110,17 +111,6 @@ class Hypergraph:
             raise ValueError("multiplicity arguments must be vertices of the hypergraph")
         pair = frozenset((u, v))
         return sum(1 for e in self._at[u] if self._incidence[e] == pair)
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        out: set[str] = set()
-        for e in self.edges_at(v):
-            out |= self._incidence[e]
-        out.discard(v)
-        return frozenset(out)
-
-    def edge_kind(self, eid: str) -> str:
-        """'ordinary' for incidence size 2, 'hyperedge' for size >= 3."""
-        return "ordinary" if len(self._incidence[eid]) == 2 else "hyperedge"
 
     # -- restriction operators ------------------------------------------
 
@@ -144,12 +134,6 @@ class Hypergraph:
                 kept[e] = cut
         return Hypergraph(X, kept)
 
-    def delete(self, X: Iterable[str] | str) -> "Hypergraph":
-        """H - X, i.e. the subhypergraph induced by the complement of X."""
-        if isinstance(X, str):
-            X = (X,)
-        return self.induced(self._vertices - frozenset(X))
-
     def shrink_away(self, X: Iterable[str] | str) -> "Hypergraph":
         """H / X, i.e. the hypergraph shrunk to the complement of X."""
         if isinstance(X, str):
@@ -165,7 +149,10 @@ class Hypergraph:
 
 
 def merge(H1: Hypergraph, v1: str, H2: Hypergraph, v2: str, vstar: str) -> Hypergraph:
-    """Glue two disjoint hypergraphs by identifying v1 and v2 as vstar."""
+    """Glue two disjoint hypergraphs by identifying v1 and v2 as vstar.
+
+    Kept as the paper's merging operation, the reference for make_hard's gluing.
+    """
     if H1.vertices & H2.vertices:
         raise ValueError("merge operands share vertices")
     if set(H1.edge_ids) & set(H2.edge_ids):

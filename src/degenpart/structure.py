@@ -58,22 +58,10 @@ def separating_vertices(H: Hypergraph) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class BlockTree:
-    """Blocks, separating vertices, and the bipartite block tree.
-
-    blocks are vertex sets sorted by their smallest vertex; tree_edges pair
-    block indices with the separating vertices they contain.
-    """
+    """Blocks, sorted by their smallest vertex, and the separating vertices."""
 
     blocks: tuple[frozenset[str], ...]
     cut_vertices: frozenset[str]
-    tree_edges: tuple[tuple[int, str], ...]
-
-    def blocks_at(self, v: str) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b]
-
-    def end_blocks(self) -> list[int]:
-        """Leaf blocks of the tree: blocks containing at most one cut vertex."""
-        return [i for i, b in enumerate(self.blocks) if len(b & self.cut_vertices) <= 1]
 
 
 def _skeleton_adjacency(H: Hypergraph) -> dict[str, set[str]]:
@@ -147,13 +135,6 @@ def blocks(H: Hypergraph) -> BlockTree:
     if len(disc) < H.order:
         raise ValueError("blocks: disconnected hypergraph (iterate components)")
     if H.order == 1:
-        return BlockTree((H.vertices,), frozenset(), ())
+        return BlockTree((H.vertices,), frozenset())
     vsets.sort(key=lambda b: min(b))
-    cut = _in_two_or_more(vsets)
-    tree = tuple((i, v) for i, b in enumerate(vsets) for v in sorted(b & cut))
-    return BlockTree(tuple(vsets), cut, tree)
-
-
-def block_subhypergraph(H: Hypergraph, bt: BlockTree, i: int) -> Hypergraph:
-    """The i-th block as an induced subhypergraph of H."""
-    return H.induced(bt.blocks[i])
+    return BlockTree(tuple(vsets), _in_two_or_more(vsets))

@@ -107,6 +107,45 @@ def balanced_plan(parts):
     return ("merge", balanced_plan(parts[:mid]), balanced_plan(parts[mid:]))
 
 
+def reference_make_hard(plan, p: int, seed: int = 0) -> tuple[dp.Hypergraph, dp.VectorFunction]:
+    """Reference: build each part of a valid plan recursively and glue the
+    parts with `merge`, numbering blocks b<k>. and merged vertices m<k> in
+    post-order, with each merge point drawn from a part's sorted vertices.
+    """
+    rng = random.Random(seed)
+    counter = [0]
+
+    def build(plan):
+        if plan[0] == "merge":
+            H1, f1 = build(plan[1])
+            H2, f2 = build(plan[2])
+            v1 = rng.choice(sorted(H1.vertices))
+            v2 = rng.choice(sorted(H2.vertices))
+            counter[0] += 1
+            vstar = f"m{counter[0]}"
+            values = {v: f1[v] for v in H1.vertices if v != v1}
+            values.update({v: f2[v] for v in H2.vertices if v != v2})
+            values[vstar] = tuple(a + b for a, b in zip(f1[v1], f2[v2]))
+            return dp.merge(H1, v1, H2, v2, vstar), dp.VectorFunction(p, values)
+        counter[0] += 1
+        if plan[0] == "M":
+            _, B, j = plan
+            f = dp.VectorFunction.from_degrees(B, j, p)
+        elif plan[0] == "K":
+            _, t, counts = plan
+            B = dp.t_fold(dp.complete_uniform(sum(counts) + 1, 2), t)
+            f = dp.VectorFunction.constant(B.vertices, tuple(t * c for c in counts))
+        else:
+            _, t, n, k, l = plan
+            B = dp.t_fold(dp.cycle(n), t)
+            f = dp.VectorFunction.constant(B.vertices, tuple(t * (i in (k, l)) for i in range(1, p + 1)))
+        name = {v: f"b{counter[0]}.{v}" for v in B.vertices}
+        H = dp.Hypergraph(name.values(), {f"b{counter[0]}.{e}": {name[v] for v in m} for e, m in B.edges().items()})
+        return H, dp.VectorFunction(p, {name[v]: vec for v, vec in f.items()})
+
+    return build(plan)
+
+
 def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction]:
     """Seeded connected n-vertex instance with sum f = d everywhere, not hard.
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from degenpart.instancefile import (
     emit_instance,
     parse_certificates,
     parse_coloring,
+    parse_instance,
     parse_partition,
 )
 
@@ -128,6 +130,34 @@ class TestCommands:
         parse_partition(capsys.readouterr().out)
 
 
+class TestGenHardDigests:
+    """gen hard prints the same bytes as the recursive construction did."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--seed 0 --blocks 40 --p 3", "e335ab20b416d57c63f92345c344a54dde2781a887054a1f9d1d16f5d81dd1c0"),
+            ("--seed 7 --p 3", "3ecd818dabd81c426eee61521b0ed5e3930c9013db16eee1fafa7225a82ff7c8"),
+            ("--seed 4 --blocks 200 --p 5", "6c79a12b2cd4c7a79691967e696514157b8bd550878adb5fdfc5159f157eb41f"),
+        ],
+    )
+    def test_digest(self, args, digest, capsys):
+        assert main(["gen", "hard"] + args.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_deep_plan_digest_and_certificate(self, tmp_path, capsys):
+        # seed 0 draws 1578 blocks, each merged one level deeper than the last
+        assert main(["gen", "hard", "--seed", "0", "--blocks", "3000", "--p", "3"]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f8aa4d67975d1d2bf6c159b3f5bd1989e76c5fb22bf78b68d7053c3b6c96ef1d"
+        )
+        assert main(["partition", write(tmp_path, "deep.hg", text)]) == 2
+        (cert,) = parse_certificates(capsys.readouterr().out)
+        inst = parse_instance(text)
+        assert dp.verify_certificate(inst.H, inst.f, cert)
+
+
 class TestErrors:
     def test_parse_error_exit_1(self, tmp_path, capsys):
         assert main(["partition", write(tmp_path, "bad.hg", "v a 1\n")]) == 1
@@ -142,6 +172,36 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("gen hard --blocks 0", "error: random_hard_plan needs max_blocks >= 1 and p >= 1, got 0 and 2"),
+            ("gen hard --p 0", "error: random_hard_plan needs max_blocks >= 1 and p >= 1, got 3 and 0"),
+            ("oracle-check --max-n 1", "error: need --max-n >= 2 and --p >= 1, got --max-n 1 --p 2"),
+            ("census --max-n 1", "error: need --max-n >= 2 and --p >= 1, got --max-n 1 --p 2"),
+            ("oracle-check --p 0", "error: need --max-n >= 2 and --p >= 1, got --max-n 5 --p 0"),
+            ("gen cycle --n 5 --t 0", "error: t_fold needs t >= 1, got 0"),
+        ],
+    )
+    def test_argument_error_one_line(self, argv, message, capsys):
+        assert main(argv.split()) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message + "\n"
+
+    def test_internal_error_one_line(self, tmp_path, monkeypatch, capsys):
+        import degenpart.cli as cli
+
+        def broken(H):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "col", broken)
+        path = write(tmp_path, "k4.hg", emit_instance(dp.complete_uniform(4, 2)))
+        assert main(["col", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: internal error: RuntimeError: boom\n"
 
 
 class TestChecks:

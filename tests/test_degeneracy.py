@@ -73,7 +73,7 @@ class TestStrictDegeneracy:
             H = dp.random_hypergraph(5, 7, seed=seed, connected=True)
             h = {v: H.degree(v) for v in H.vertices}
             for v in sorted(H.vertices):
-                Hv = H.delete(v)
+                Hv = H.induced(H.vertices - {v})
                 assert dp.is_strictly_degenerate(Hv, {u: h[u] for u in Hv.vertices})
             for e in H.edge_ids:
                 He = Hypergraph(H.vertices, {x: m for x, m in H.edges().items() if x != e})

@@ -6,7 +6,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import balanced_plan
+from conftest import balanced_plan, reference_make_hard
 
 
 class TestVectorFunction:
@@ -281,6 +281,10 @@ class TestMakeHardRejectsInvalidPlans:
             (("M", dp.cycle(4), 3), 2),  # j > p
             (("M", dp.path(3), 1), 2),  # separating vertex
             (("merge", ("C", 1, 5, 1, 2), ("K", 1, (2, 0))), 2),  # invalid inside a merge
+            (("merge", ("C", 1, 5, 1, 2)), 2),  # merge tuple with one part
+            (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2)), 2),  # three parts
+            (("K", 1), 2),  # K tuple without counts
+            (("X", 1), 2),  # unknown kind
         ],
     )
     def test_raises(self, plan, p):
@@ -293,6 +297,32 @@ def _chain(parts):
     for part in parts[1:]:
         plan = ("merge", plan, part)
     return plan
+
+
+class TestMakeHardOnePass:
+    """make_hard gives what recursive gluing with `merge` gives, at any depth."""
+
+    def test_random_plans_match_reference(self):
+        for seed in range(200):
+            p = 1 + seed % 5
+            plan = dp.random_hard_plan(seed, max_blocks=8, p=p)
+            assert dp.make_hard(plan, p, seed=seed) == reference_make_hard(plan, p, seed=seed)
+
+    @pytest.mark.parametrize("nblocks", [1, 2, 3, 17, 64])
+    def test_balanced_plans_match_reference(self, nblocks):
+        p = 2 + nblocks % 3
+        rng = random.Random(nblocks)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(nblocks)]
+        plan = balanced_plan(bases)
+        assert dp.make_hard(plan, p, seed=nblocks) == reference_make_hard(plan, p, seed=nblocks)
+
+    def test_3000_block_chain_at_default_recursion_limit(self):
+        rng = random.Random(3000)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=3) for _ in range(3000)]
+        H, f = dp.make_hard(_chain(bases), 3, seed=1)
+        cert = dp.is_hard(H, f)
+        assert cert is not None and len(cert.blocks) == 3000
+        assert dp.verify_certificate(H, f, cert)
 
 
 class TestIsHardAtScale:

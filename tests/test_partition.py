@@ -107,7 +107,7 @@ class TestReduction:
             if H.order > 8 or H.order < 2 or p ** (H.order - 1) > 10**6:
                 continue
             for u in sorted(H.vertices):
-                Hu = H.delete(u)
+                Hu = H.induced(H.vertices - {u})
                 assert dp.brute_partitionable(Hu, f.restrict(Hu.vertices)).partitionable
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
-from degenpart.structure import block_subhypergraph, blocks
+from degenpart.structure import blocks
 
 
 class TestComponents:
@@ -52,7 +52,6 @@ class TestBlocks:
         bt = dp.blocks(Hypergraph("abc", {"e1": "ab", "e2": "bc"}))
         assert sorted(sorted(b) for b in bt.blocks) == [["a", "b"], ["b", "c"]]
         assert bt.cut_vertices == {"b"}
-        assert sorted(bt.end_blocks()) == [0, 1]
 
     def test_single_vertex_is_a_block(self):
         bt = dp.blocks(Hypergraph("a"))
@@ -96,20 +95,13 @@ class TestBlocks:
             ["a", "b", "c"], ["c", "m"], ["m", "x"], ["x", "y", "z"],
         ]
         assert bt.cut_vertices == {"c", "m", "x"}
-        assert len(bt.end_blocks()) == 2
 
     def test_hyperedge_block_chain(self):
         H = Hypergraph("abcde", {"x": "abc", "y": "cde"})
         bt = dp.blocks(H)
         assert sorted(sorted(b) for b in bt.blocks) == [["a", "b", "c"], ["c", "d", "e"]]
-        B0 = block_subhypergraph(H, bt, 0)
+        B0 = H.induced(bt.blocks[0])
         assert B0.size == 1
-
-    def test_tree_edges_connect_blocks_via_cuts(self):
-        H = Hypergraph("abcxyz", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "cx", "e5": "xy", "e6": "xz"})
-        bt = dp.blocks(H)
-        for i, v in bt.tree_edges:
-            assert v in bt.blocks[i] and v in bt.cut_vertices
 
 
 def definitional_separating(H):
@@ -161,7 +153,7 @@ class TestBlockInvariantsRandom:
             for j in range(i + 1, len(bt.blocks)):
                 assert len(bt.blocks[i] & bt.blocks[j]) <= 1
         # a separating vertex is exactly a vertex of >= 2 blocks
-        multi = {v for v in H.vertices if len(bt.blocks_at(v)) >= 2}
+        multi = {v for v in H.vertices if sum(v in b for b in bt.blocks) >= 2}
         assert multi == dp.separating_vertices(H)
         assert bt.cut_vertices == multi
         # every edge lies in exactly one block
