@@ -148,6 +148,8 @@ def _cmd_gen(args) -> int:
             seed=args.seed, connected=args.connected,
         )
     elif args.shape == "hard":
+        if args.t != 1:
+            raise ValueError(f"gen hard builds no t-fold pairs: --t must be 1, got {args.t}")
         plan = random_hard_plan(args.seed, max_blocks=args.blocks, p=args.p)
         H, f = make_hard(plan, args.p, seed=args.seed)
         sys.stdout.write(emit_instance(H, f=f))

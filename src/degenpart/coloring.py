@@ -26,6 +26,9 @@ from .structure import blocks, components
 
 Color = str | int
 
+_ADVERSARY_BUDGET = 200_000  # list assignments is_k_choosable tries per stuck component
+_CHI_MAX_ORDER = 10  # largest order chi_and_chi_list accepts
+
 
 @dataclass(frozen=True, eq=False)
 class ColoringResult:
@@ -181,14 +184,15 @@ def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
     return go(0)
 
 
-def chi_and_chi_list(H: Hypergraph, max_order: int = 10) -> tuple[int, int]:
-    """Exact chromatic and list-chromatic numbers for desk-sized instances.
+def chi_and_chi_list(H: Hypergraph) -> tuple[int, int]:
+    """Exact chromatic and list-chromatic numbers for instances of at most
+    ten vertices.
 
     The list-chromatic number is found by probing k-choosability upward
     from the chromatic number; the coloring number is an upper bound.
     """
-    if H.order > max_order:
-        raise ValueError(f"chi_and_chi_list guard: {H.order} > {max_order} vertices")
+    if H.order > _CHI_MAX_ORDER:
+        raise ValueError(f"chi_and_chi_list guard: {H.order} > {_CHI_MAX_ORDER} vertices")
     if H.is_empty:
         return 0, 0
     chi = chromatic_number(H)
@@ -219,13 +223,13 @@ def _degree_choosable(B: Hypergraph) -> bool:
     return not all(_block_forces_bad_lists(B.induced(bs)) for bs in bt.blocks)
 
 
-def is_k_choosable(H: Hypergraph, k: int, adversary_budget: int = 200_000) -> bool:
+def is_k_choosable(H: Hypergraph, k: int) -> bool:
     """Proper colorings exist for every list assignment with |L(v)| = k.
 
     Vertices of degree below k are peeled off (always colorable last).
     A k-regular stuck component is decided by its block shapes.  A stuck
     component with degrees above k needs an explicit search over list
-    assignments, which is bounded by adversary_budget and raises once the
+    assignments, which is bounded by a fixed budget and raises once the
     instance is too large for an exact answer.
     """
     if k < 0:
@@ -242,7 +246,7 @@ def is_k_choosable(H: Hypergraph, k: int, adversary_budget: int = 200_000) -> bo
             if not _degree_choosable(B):
                 return False
         else:
-            if _exists_bad_lists(B, k, adversary_budget):
+            if _exists_bad_lists(B, k, _ADVERSARY_BUDGET):
                 return False
     return True
 

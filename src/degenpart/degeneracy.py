@@ -10,6 +10,7 @@ whatever the peel order, so it serves as a canonical failure witness.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import Mapping
@@ -71,30 +72,12 @@ def is_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> DegeneracyWit
 def col(H: Hypergraph) -> int:
     """Coloring number: least k with H strictly k-degenerate (0 for empty H).
 
-    Computed as 1 + the largest current minimum degree seen while
-    repeatedly deleting a minimum-degree vertex (smallest name on ties),
-    taken from a heap keyed (degree, name) whose stale entries are skipped.
+    Strict k-degeneracy is monotone in k and holds once k exceeds the
+    maximum degree, so the least such k is found by bisecting
+    0..max_degree + 1 with `is_strictly_degenerate`.
     """
-    if H.is_empty:
-        return 0
-    alive = set(H.vertices)
-    deg = {v: H.degree(v) for v in alive}
-    live_edges = {e: set(m) for e, m in H.edges().items()}
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    worst = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v not in alive or d != deg[v]:
-            continue
-        worst = max(worst, d)
-        alive.discard(v)
-        for e in H.edges_at(v):
-            m = live_edges.pop(e, None)
-            if m is None:
-                continue
-            for u in m:
-                if u in alive:
-                    deg[u] -= 1
-                    heapq.heappush(heap, (deg[u], u))
-    return worst + 1
+    return bisect.bisect_left(
+        range(H.max_degree() + 2),
+        True,
+        key=lambda k: bool(is_strictly_degenerate(H, dict.fromkeys(H.vertices, k))),
+    )

@@ -144,7 +144,7 @@ class CTag:
 BlockTypeTag = MTag | KTag | CTag
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HardPairCertificate:
     """Per-block classification: vertex sets, type tags, and block functions.
 
@@ -155,15 +155,6 @@ class HardPairCertificate:
     blocks: tuple[frozenset[str], ...]
     tags: tuple[BlockTypeTag, ...]
     block_functions: tuple[dict[str, tuple[int, ...]], ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HardPairCertificate):
-            return NotImplemented
-        return (
-            self.blocks == other.blocks
-            and self.tags == other.tags
-            and self.block_functions == other.block_functions
-        )
 
 
 def block_function(B: Hypergraph, tag: BlockTypeTag, p: int) -> dict[str, tuple[int, ...]] | None:
@@ -363,6 +354,8 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
     stack = [(plan, False)]
     while stack:
         node, expanded = stack.pop()
+        if not isinstance(node, tuple) or not node:
+            raise ValueError(f"plan node {node!r} is not a non-empty tuple")
         if node[0] == "merge" and not expanded:
             _, left, right = node
             stack += [(node, True), (right, False), (left, False)]
@@ -379,8 +372,11 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
             right_vs.remove(v2)
             parts.append(sorted(left_vs + right_vs + [vstar]))
             continue
-        B, tag = _base_block(node)
-        share = block_function(B, tag, p)
+        try:
+            B, tag = _base_block(node)
+            share = block_function(B, tag, p)
+        except (TypeError, AttributeError) as exc:  # a parameter of the wrong type
+            raise ValueError(f"malformed {node[0]} plan {node!r}: {exc}") from None
         if share is None:
             raise ValueError(f"{node[0]} plan parameters are invalid for p = {p}")
         name = {v: f"b{k}.{v}" for v in B.vertices}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import Iterable, Mapping
 
 
@@ -269,37 +270,45 @@ def is_graph(H: Hypergraph) -> bool:
     return all(len(m) == 2 for m in H.edges().values())
 
 
+def _pair_counts(H: Hypergraph) -> Counter[frozenset[str]] | None:
+    """Number of edges on each incidence set, or None if some edge is not ordinary."""
+    counts = Counter(map(H.incidence, H.edge_ids))
+    return counts if all(len(m) == 2 for m in counts) else None
+
+
 def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
-    """(t, n) if H = tK_n for some t >= 1, n >= 1; None otherwise."""
+    """(t, n) if H = tK_n for some t >= 1, n >= 1; None otherwise.
+
+    tK_n has C(n, 2) distinct pairs as incidence sets, each carrying t edges.
+    """
     n = H.order
-    if n == 0 or not is_graph(H):
+    counts = _pair_counts(H)
+    if n == 0 or counts is None or len(counts) != n * (n - 1) // 2:
         return None
-    if n == 1:
-        return (1, 1) if H.size == 0 else None
-    mults = {H.multiplicity(u, v) for u, v in itertools.combinations(sorted(H.vertices), 2)}
-    if len(mults) != 1:
-        return None
-    t = mults.pop()
-    if t < 1 or H.size != t * n * (n - 1) // 2:
-        return None
-    return t, n
+    ts = set(counts.values()) or {1}  # K_1 has no pairs
+    return (ts.pop(), n) if len(ts) == 1 else None
 
 
 def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
-    """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise."""
-    n = H.order
-    if n < 3 or not is_graph(H):
-        return None
-    simple = H.underlying_simple()
-    if simple.size != n or any(simple.degree(v) != 2 for v in simple.vertices):
-        return None
-    from .structure import is_connected
+    """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise.
 
-    # 2-regular + connected + n edges => a single cycle
-    if not is_connected(simple):
+    tC_n has n distinct pairs as incidence sets, each carrying t edges, and
+    every vertex in two of them; walking from pair to pair closes after n steps.
+    """
+    n = H.order
+    counts = _pair_counts(H)
+    if n < 3 or counts is None or len(counts) != n:
         return None
-    pair_mults = {H.multiplicity(*sorted(simple.incidence(se))) for se in simple.edge_ids}
-    if len(pair_mults) != 1:
+    ts = set(counts.values())
+    nbrs: dict[str, list[str]] = {v: [] for v in H.vertices}
+    for u, w in counts:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    if len(ts) != 1 or any(len(ns) != 2 for ns in nbrs.values()):
         return None
-    t = pair_mults.pop()
-    return (t, n) if H.size == t * n else None
+    start = min(nbrs)
+    prev, v, steps = start, nbrs[start][0], 1
+    while v != start:
+        a, b = nbrs[v]
+        prev, v, steps = v, b if a == prev else a, steps + 1
+    return (ts.pop(), n) if steps == n else None

@@ -99,6 +99,18 @@ def sweep() -> Sweep:
     return Sweep(records, SWEEP_INSTANCES)
 
 
+def count_calls(monkeypatch, counts, owner, name):
+    """Count the calls to owner.name in counts[name] for the rest of the test."""
+    original = getattr(owner, name)
+    counts[name] = 0
+
+    def counting(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
 def balanced_plan(parts):
     """Glue make_hard plans pairwise into a balanced merge tree."""
     if len(parts) == 1:

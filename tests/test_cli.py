@@ -182,6 +182,7 @@ class TestErrors:
             ("census --max-n 1", "error: need --max-n >= 2 and --p >= 1, got --max-n 1 --p 2"),
             ("oracle-check --p 0", "error: need --max-n >= 2 and --p >= 1, got --max-n 5 --p 0"),
             ("gen cycle --n 5 --t 0", "error: t_fold needs t >= 1, got 0"),
+            ("gen hard --t 3 --seed 1", "error: gen hard builds no t-fold pairs: --t must be 1, got 3"),
         ],
     )
     def test_argument_error_one_line(self, argv, message, capsys):

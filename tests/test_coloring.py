@@ -214,7 +214,7 @@ class TestChoosability:
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            dp.chi_and_chi_list(dp.random_hypergraph(12, 5, seed=0), max_order=10)
+            dp.chi_and_chi_list(dp.random_hypergraph(12, 5, seed=0))
 
     def test_inequality_chain(self):
         for seed in range(20):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import balanced_plan, reference_make_hard
+from conftest import balanced_plan, count_calls, reference_make_hard
 
 
 class TestVectorFunction:
@@ -285,6 +286,10 @@ class TestMakeHardRejectsInvalidPlans:
             (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2)), 2),  # three parts
             (("K", 1), 2),  # K tuple without counts
             (("X", 1), 2),  # unknown kind
+            ((), 2),  # empty plan
+            (("K", 1, 5), 2),  # counts not a sequence
+            (("C", "1", 5, 1, 2), 2),  # t not an integer
+            (("M", "abc", 1), 2),  # M block not a hypergraph
         ],
     )
     def test_raises(self, plan, p):
@@ -341,6 +346,21 @@ class TestIsHardAtScale:
         j = rng.randrange(p)
         raised = f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
         assert dp.is_hard(H, raised) is None
+
+
+class TestIsHardCallCounts:
+    def test_shape_tests_need_no_connectivity_or_pair_scans(self, monkeypatch):
+        rng = random.Random(3)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=3) for _ in range(60)]
+        H, f = dp.make_hard(balanced_plan(bases), 3, seed=3)
+        structure_module = importlib.import_module("degenpart.structure")
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, structure_module, "components")
+        count_calls(monkeypatch, counts, Hypergraph, "underlying_simple")
+        count_calls(monkeypatch, counts, Hypergraph, "multiplicity")
+        cert = dp.is_hard(H, f)
+        assert cert is not None and any(isinstance(tag, CTag) for tag in cert.tags)
+        assert counts == {"components": 0, "underlying_simple": 0, "multiplicity": 0}
 
 
 class TestHardPairProperties:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -190,3 +191,109 @@ class TestShapeDetection:
     def test_is_graph(self):
         assert dp.is_graph(dp.cycle(4))
         assert not dp.is_graph(triple_edge())
+
+
+def definitional_complete_parameters(H):
+    """Reference: H is a graph whose vertex pairs all have one multiplicity t >= 1."""
+    n = H.order
+    if n == 0 or not dp.is_graph(H):
+        return None
+    if n == 1:
+        return (1, 1) if H.size == 0 else None
+    mults = {H.multiplicity(u, v) for u, v in itertools.combinations(sorted(H.vertices), 2)}
+    if len(mults) != 1:
+        return None
+    t = mults.pop()
+    if t < 1 or H.size != t * n * (n - 1) // 2:
+        return None
+    return t, n
+
+
+def definitional_cycle_parameters(H):
+    """Reference: H is a graph whose underlying simple graph is a connected
+    2-regular graph on n edges, every edge of it with one multiplicity t."""
+    n = H.order
+    if n < 3 or not dp.is_graph(H):
+        return None
+    simple = H.underlying_simple()
+    if simple.size != n or any(simple.degree(v) != 2 for v in simple.vertices):
+        return None
+    if not dp.is_connected(simple):
+        return None
+    pair_mults = {H.multiplicity(*sorted(simple.incidence(se))) for se in simple.edge_ids}
+    if len(pair_mults) != 1:
+        return None
+    t = pair_mults.pop()
+    return (t, n) if H.size == t * n else None
+
+
+def _disjoint_union(*parts):
+    vertices, edges = [], {}
+    for i, H in enumerate(parts):
+        vertices += [f"{i}.{v}" for v in H.vertices]
+        edges.update({f"{i}.{e}": [f"{i}.{v}" for v in H.incidence(e)] for e in H.edge_ids})
+    return Hypergraph(vertices, edges)
+
+
+def _shape_corpus_instance(seed):
+    """Random multihypergraphs near tK_n and tC_n: folds with one edge
+    dropped or added, unions of two cycles, and plain random instances."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    n = rng.randint(3, 8)
+    t = rng.randint(1, 3)
+    if kind == 0:
+        return dp.random_hypergraph(rng.randint(1, 7), rng.randint(0, 12), max_arity=rng.choice([2, 3]),
+                                    max_mult=3, seed=seed)
+    if kind == 1:
+        H = dp.t_fold(dp.complete_uniform(n - 1, 2), t)
+    elif kind == 2:
+        H = dp.t_fold(dp.cycle(n), t)
+    else:
+        H = dp.t_fold(_disjoint_union(dp.cycle(3), dp.cycle(n)), t)
+    edges = H.edges()
+    change = rng.randrange(3)
+    if change == 1:
+        del edges[rng.choice(sorted(edges))]
+    elif change == 2:
+        edges["extra"] = frozenset(rng.sample(sorted(H.vertices), min(H.order, rng.choice([2, 2, 3]))))
+    names = sorted(H.vertices)
+    rename = dict(zip(names, rng.sample(names, len(names))))
+    return Hypergraph(H.vertices, {e: [rename[v] for v in m] for e, m in edges.items()})
+
+
+class TestShapeDetectionMatchesDefinition:
+    """The pair-count shape tests agree with the definitional references."""
+
+    @staticmethod
+    def agree(H):
+        complete = dp.t_fold_complete_parameters(H)
+        cycle = dp.t_fold_cycle_parameters(H)
+        assert complete == definitional_complete_parameters(H)
+        assert cycle == definitional_cycle_parameters(H)
+        return complete, cycle
+
+    def test_named_cases(self):
+        triangle = dp.cycle(3)
+        doubled = Hypergraph("abc", {"x": "ab", "y": "ab", "z": "bc", "w": "ca"})
+        assert self.agree(_disjoint_union(triangle, triangle)) == (None, None)
+        assert self.agree(doubled) == (None, None)
+        assert self.agree(triple_edge()) == (None, None)
+        assert self.agree(dp.path(1)) == ((1, 1), None)
+        assert self.agree(Hypergraph(())) == (None, None)
+        for n in range(2, 9):
+            for t in range(1, 4):
+                complete, cycle = self.agree(dp.t_fold(dp.complete_uniform(n, 2), t))
+                assert complete == (t, n) and (cycle is not None) == (n == 3)
+                if n >= 3:
+                    complete, cycle = self.agree(dp.t_fold(dp.cycle(n), t))
+                    assert cycle == (t, n) and (complete is not None) == (n == 3)
+
+    def test_seeded_multihypergraphs(self):
+        found = {"complete": 0, "cycle": 0}
+        for seed in range(2400):
+            complete, cycle = self.agree(_shape_corpus_instance(seed))
+            found["complete"] += complete is not None
+            found["cycle"] += cycle is not None
+        # the corpus reaches both shapes, not only their near misses
+        assert min(found.values()) >= 200

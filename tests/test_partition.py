@@ -6,7 +6,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import balanced_plan, layered_wheel_instance, tight_instance
+from conftest import balanced_plan, count_calls, layered_wheel_instance, tight_instance
 
 
 def const(H, vec):
@@ -109,18 +109,6 @@ class TestReduction:
             for u in sorted(H.vertices):
                 Hu = H.induced(H.vertices - {u})
                 assert dp.brute_partitionable(Hu, f.restrict(Hu.vertices)).partitionable
-
-
-def count_calls(monkeypatch, counts, owner, name):
-    """Count the calls to owner.name in counts[name] for the rest of the test."""
-    original = getattr(owner, name)
-    counts[name] = 0
-
-    def counting(*args):
-        counts[name] += 1
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
 
 
 class TestComplexity:
