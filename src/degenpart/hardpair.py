@@ -88,6 +88,10 @@ class VectorFunction:
         return sum(self._values[v])
 
     def restrict(self, X: Iterable[str]) -> "VectorFunction":
+        """f on X; f itself when X is the whole domain."""
+        X = frozenset(X)
+        if X == self._values.keys():
+            return self
         return VectorFunction(self.p, {v: self._values[v] for v in X})
 
     def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":

@@ -3,8 +3,9 @@
 Vertices and edges are named by opaque strings.  Parallel edges are stored
 as distinct edge records (shrinking can turn distinct hyperedges into
 parallel ordinary edges, so multiplicity counters would not survive the
-operators).  All operations return new values; a Hypergraph never mutates
-after construction and is safe to share between threads.
+operators).  Operations return new values, or the value itself when they
+change nothing; a Hypergraph never mutates after construction and is safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ class Hypergraph:
         vs = frozenset(vertices)
         incidence: dict[str, frozenset[str]] = {}
         for eid, members in dict(edges).items():
-            members = tuple(members)
-            mset = frozenset(members)
-            if len(mset) != len(members):
-                raise ValueError(f"edge {eid!r} repeats a vertex (loop)")
+            if isinstance(members, frozenset):  # a set cannot repeat a vertex
+                mset = members
+            else:
+                members = tuple(members)
+                mset = frozenset(members)
+                if len(mset) != len(members):
+                    raise ValueError(f"edge {eid!r} repeats a vertex (loop)")
             if len(mset) < 2:
                 raise ValueError(f"edge {eid!r} has arity {len(mset)} < 2")
             if not mset <= vs:
@@ -116,8 +120,11 @@ class Hypergraph:
     # -- restriction operators ------------------------------------------
 
     def induced(self, X: Iterable[str]) -> "Hypergraph":
-        """Subhypergraph on X keeping edges whose whole incidence set lies in X."""
+        """Subhypergraph on X keeping edges whose whole incidence set lies in X;
+        H itself when X is the whole vertex set."""
         X = frozenset(X)
+        if X == self._vertices:
+            return self
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
         kept = {e: m for e, m in self._incidence.items() if m <= X}

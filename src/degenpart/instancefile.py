@@ -47,7 +47,7 @@ def parse_instance(text: str) -> Instance:
     p: int | None = None
     vertices: dict[str, tuple[int, ...] | None] = {}
     lists: dict[str, set[str]] = {}
-    edges: dict[str, tuple[str, ...]] = {}
+    edges: dict[str, frozenset[str]] = {}
     for line_no, tok in _tokens(text):
         kind = tok[0]
         if kind == "hg":
@@ -93,12 +93,13 @@ def parse_instance(text: str) -> Instance:
             if name in edges:
                 raise ParseError(line_no, f"duplicate edge {name!r}")
             members = tok[2:]
-            if len(set(members)) != len(members):
+            mset = frozenset(members)
+            if len(mset) != len(members):
                 raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
             unknown = [v for v in members if v not in vertices]
             if unknown:
                 raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
-            edges[name] = tuple(members)
+            edges[name] = mset
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
     if p is None:

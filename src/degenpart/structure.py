@@ -52,13 +52,20 @@ def separating_vertices(H: Hypergraph) -> frozenset[str]:
     vsets: list[frozenset[str]] = []
     for root in adj:
         if root not in disc:
-            vsets += _biconnected_vertex_sets(adj, root, disc)
+            vsets += (b for _, b in _biconnected_vertex_sets(adj, root, disc))
     return _in_two_or_more(vsets)
 
 
 @dataclass(frozen=True)
 class BlockTree:
-    """Blocks, sorted by their smallest vertex, and the separating vertices."""
+    """Blocks, sorted by their smallest vertex, and the separating vertices.
+
+    Among the blocks whose smallest vertex is m, those that hang below m
+    (seen from the smallest vertex of H) come first, by m's smallest
+    skeleton neighbour in each, and the one through which m is reached
+    comes last: the order of a depth-first search from the smallest vertex
+    that visits neighbours in sorted order.
+    """
 
     blocks: tuple[frozenset[str], ...]
     cut_vertices: frozenset[str]
@@ -86,28 +93,31 @@ def _in_two_or_more(vsets: list[frozenset[str]]) -> frozenset[str]:
 
 def _biconnected_vertex_sets(
     adj: dict[str, set[str]], root: str, disc: dict[str, int]
-) -> list[frozenset[str]]:
-    """Vertex sets of the biconnected components reachable from root
-    (iterative Hopcroft-Tarjan).
+) -> list[tuple[str, frozenset[str]]]:
+    """(entry, vertex set) of each biconnected component reachable from root
+    (iterative Hopcroft-Tarjan); the entry is the component's vertex
+    nearest root, through which every path from root reaches the others.
 
     Records the discovery time of every vertex reached in disc, which may
-    already hold the vertices of other components.
+    already hold the vertices of other components.  Neither the vertex
+    sets nor the entries depend on the order in which neighbours are
+    visited, so adjacency sets are walked in their own order.
     """
     low: dict[str, int] = {}
-    comps: list[frozenset[str]] = []
+    comps: list[tuple[str, frozenset[str]]] = []
     timer = len(disc)
     disc[root] = low[root] = timer
     # vertices reached but not yet placed in a component, in discovery order
     pending = [root]
     # stack holds (vertex, parent, iterator over neighbors, index in pending)
-    stack = [(root, None, iter(sorted(adj[root])), 0)]
+    stack = [(root, None, iter(adj[root]), 0)]
     while stack:
         v, parent, it, _ = stack[-1]
         for u in it:
             if u not in disc:
                 timer += 1
                 disc[u] = low[u] = timer
-                stack.append((u, v, iter(sorted(adj[u])), len(pending)))
+                stack.append((u, v, iter(adj[u]), len(pending)))
                 pending.append(u)
                 break
             if u != parent and disc[u] < low[v]:
@@ -120,7 +130,7 @@ def _biconnected_vertex_sets(
                     low[p] = low[v]
                 if low[v] >= disc[p]:
                     # v's subtree hangs off p: with p it forms a component
-                    comps.append(frozenset(pending[at:]) | {p})
+                    comps.append((p, frozenset(pending[at:]) | {p}))
                     del pending[at:]
     return comps
 
@@ -131,10 +141,16 @@ def blocks(H: Hypergraph) -> BlockTree:
         raise ValueError("blocks: empty hypergraph")
     adj = _skeleton_adjacency(H)
     disc: dict[str, int] = {}
-    vsets = _biconnected_vertex_sets(adj, min(H.vertices), disc)
+    found = _biconnected_vertex_sets(adj, min(H.vertices), disc)
     if len(disc) < H.order:
         raise ValueError("blocks: disconnected hypergraph (iterate components)")
     if H.order == 1:
         return BlockTree((H.vertices,), frozenset())
-    vsets.sort(key=lambda b: min(b))
+
+    def order(entry_and_block: tuple[str, frozenset[str]]) -> tuple:
+        entry, b = entry_and_block
+        m = min(b)
+        return (m, 0, min(adj[m] & b)) if m == entry else (m, 1)
+
+    vsets = [b for _, b in sorted(found, key=order)]
     return BlockTree(tuple(vsets), _in_two_or_more(vsets))

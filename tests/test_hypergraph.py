@@ -4,6 +4,7 @@ import random
 import pytest
 
 import degenpart as dp
+from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
 
 
@@ -23,6 +24,18 @@ class TestConstruction:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             Hypergraph("ab", {"e": ("a", "c")})
+
+    def test_frozenset_edges_still_validated(self):
+        with pytest.raises(ValueError, match="arity"):
+            Hypergraph("ab", {"e": frozenset("a")})
+        with pytest.raises(ValueError, match="arity"):
+            Hypergraph("ab", {"e": frozenset()})
+        with pytest.raises(ValueError, match="unknown"):
+            Hypergraph("ab", {"e": frozenset("ac")})
+
+    def test_frozenset_edge_kept_as_given(self):
+        m = frozenset("ab")
+        assert Hypergraph("abc", {"e": m}).incidence("e") is m
 
     def test_equality_and_hash(self):
         H1 = Hypergraph("ab", {"e": "ab"})
@@ -60,6 +73,24 @@ class TestOperators:
     def test_induced_identity(self):
         H = dp.random_hypergraph(5, 6, seed=1)
         assert H.induced(H.vertices) == H
+
+    def test_whole_domain_restriction_returns_self(self):
+        H = dp.random_hypergraph(8, 12, seed=3, connected=True)
+        f = VectorFunction.from_degrees(H, 1, 2)
+        assert H.induced(H.vertices) is H
+        assert H.induced(sorted(H.vertices)) is H
+        assert f.restrict(H.vertices) is f
+        assert f.restrict(sorted(H.vertices)) is f
+
+    def test_proper_subset_restriction_is_new(self):
+        H = dp.random_hypergraph(8, 12, seed=3, connected=True)
+        f = VectorFunction.from_degrees(H, 1, 2)
+        X = H.vertices - {"v1"}
+        G, g = H.induced(X), f.restrict(X)
+        assert G is not H and G.vertices == X
+        assert set(G.edge_ids) == {e for e in H.edge_ids if "v1" not in H.incidence(e)}
+        assert g is not f and g.vertices == X
+        assert all(g[v] == f[v] for v in X)
 
     def test_induced_drops_partial_hyperedge(self):
         H = triple_edge().induced("ab")

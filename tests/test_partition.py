@@ -156,6 +156,32 @@ class TestComplexity:
         assert dp.verify_partition(H, g, res.partition)
 
 
+class TestConstructionCounts:
+    def test_connected_hard_pair_builds_one_hypergraph_per_block(self, monkeypatch):
+        # a connected instance is not copied: is_hard builds its blocks and nothing else
+        H, f = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
+        nblocks = len(dp.blocks(H).blocks)
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        res = dp.solve(H, f)
+        assert (nblocks, counts["__init__"]) == (16, 16)
+        assert list(res.certificates) == [H.vertices]
+
+    def test_one_certificate_per_component(self):
+        H1, f1 = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
+        H2, f2 = dp.make_hard(dp.random_hard_plan(5, max_blocks=20, p=3), 3, seed=5)
+        ren = {v: "x" + v for v in H2.vertices}
+        edges = H1.edges()
+        edges.update({"x" + e: {ren[v] for v in m} for e, m in H2.edges().items()})
+        H = Hypergraph(H1.vertices | set(ren.values()), edges)
+        f = VectorFunction(3, {**dict(f1.items()), **{ren[v]: vec for v, vec in f2.items()}})
+        res = dp.solve(H, f)
+        assert res.partition is None
+        assert set(res.certificates) == {H1.vertices, frozenset(ren.values())}
+        for comp, cert in res.certificates.items():
+            assert dp.verify_certificate(H.induced(comp), f.restrict(comp), cert)
+
+
 class TestScale:
     """Instances far past the oracle's reach: every partition checks itself
     by peeling, and the iterative solver stays within the default

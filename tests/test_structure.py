@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -180,3 +183,76 @@ class TestBlockInvariantsRandom:
             assert sep == definitional_separating(H)
             if n <= 8:
                 assert sep == brute_separating(H)
+
+
+def sorted_dfs_blocks(H):
+    """Reference: the blocks as a recursive Hopcroft-Tarjan search from the
+    smallest vertex completes them when it visits neighbours in sorted
+    order, stably sorted by smallest vertex."""
+    adj = {v: sorted({u for e in H.edges_at(v) for u in H.incidence(e)} - {v}) for v in H.vertices}
+    disc, low, pending, out = {}, {}, [], []
+
+    def visit(v, parent):
+        disc[v] = low[v] = len(disc)
+        pending.append(v)
+        for u in adj[v]:
+            if u not in disc:
+                visit(u, v)
+                low[v] = min(low[v], low[u])
+                if low[u] >= disc[v]:
+                    comp = {v}
+                    while u not in comp:
+                        comp.add(pending.pop())
+                    out.append(frozenset(comp))
+            elif u != parent:
+                low[v] = min(low[v], disc[u])
+
+    visit(min(H.vertices), None)
+    return tuple(sorted(out, key=min)) if out else (H.vertices,)
+
+
+def _block_order_corpus():
+    """Seeded connected multihypergraphs and hard pairs, many of them with
+    several blocks sharing their smallest vertex."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        yield dp.random_hypergraph(
+            n, rng.randint(n // 2, 2 * n), max_arity=rng.randint(2, 4), max_mult=3,
+            seed=seed, connected=True,
+        )
+    for seed in range(40):
+        yield dp.make_hard(dp.random_hard_plan(seed, max_blocks=40, p=3), 3, seed=seed)[0]
+
+
+class TestBlockOrder:
+    def test_matches_sorted_neighbour_search(self):
+        ties = 0
+        for H in _block_order_corpus():
+            bs = blocks(H).blocks
+            assert bs == sorted_dfs_blocks(H)
+            ties += len({min(b) for b in bs}) < len(bs)
+        assert ties >= 30
+
+    def test_independent_of_hash_seed(self):
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import test_structure as t, degenpart as dp\n"
+            "for H in t._block_order_corpus():\n"
+            "    bt = dp.blocks(H)\n"
+            "    print([sorted(b) for b in bt.blocks], sorted(bt.cut_vertices),"
+            " sorted(dp.separating_vertices(H)))\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script, here, src],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "1")
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count(b"\n") == 190
