@@ -14,12 +14,7 @@ from typing import Mapping
 
 from .degeneracy import col, is_strictly_degenerate
 from .hardpair import HardPairCertificate, VectorFunction
-from .hypergraph import (
-    Hypergraph,
-    is_graph,
-    t_fold_complete_parameters,
-    t_fold_cycle_parameters,
-)
+from .hypergraph import Hypergraph, t_fold_complete_parameters, t_fold_cycle_parameters
 from .oracle import brute_partitionable
 from .partition import enforce_degree_bounds, solve
 from .structure import blocks, components
@@ -150,9 +145,8 @@ def chromatic_number(H: Hypergraph) -> int:
     """Least number of colors with no edge monochromatic (0 for empty H)."""
     if H.is_empty:
         return 0
-    S = H.underlying_simple()
     for k in itertools.count(1):
-        if _colorable_with(S, {v: set(range(1, k + 1)) for v in S.vertices}):
+        if _colorable_with(H, {v: set(range(1, k + 1)) for v in H.vertices}):
             return k
     raise AssertionError("unreachable")
 
@@ -160,7 +154,7 @@ def chromatic_number(H: Hypergraph) -> int:
 def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
     """Backtracking check for a proper coloring choosing from the lists."""
     vs = sorted(H.vertices, key=lambda v: len(L[v]))
-    edges = list(H.underlying_simple().edges().values())
+    edges = list(dict.fromkeys(map(H.incidence, H.edge_ids)))  # parallel edges add nothing
     coloring: dict[str, Color] = {}
 
     def ok(v: str, c: Color) -> bool:
@@ -208,12 +202,9 @@ def _block_forces_bad_lists(B: Hypergraph) -> bool:
     if B.size == 1:
         return True
     n = B.order
-    if is_graph(B):
-        if t_fold_complete_parameters(B) == (1, n):
-            return True
-        if n % 2 == 1 and t_fold_cycle_parameters(B) == (1, n):
-            return True
-    return False
+    if t_fold_complete_parameters(B) == (1, n):
+        return True
+    return n % 2 == 1 and t_fold_cycle_parameters(B) == (1, n)
 
 
 def _degree_choosable(B: Hypergraph) -> bool:

@@ -12,9 +12,10 @@ that a block with a given tag carries (None when the tag's parameters are
 invalid), and `_has_shape` tests the block against tK_n or tC_n.
 Recognition (`is_hard`, `classify_block`), verification
 (`verify_certificate`) and construction (`make_hard`) all read these two.
-`is_hard` strips leaf blocks off the block tree: the value of f on the
-vertices private to one block pins down that block's tag and share, and
-the shares must add up exactly at the shared vertices.
+`is_hard` strips the blocks in reverse breadth-first order from block 0:
+the value of f on a block's vertices other than the one it was reached
+through pins down that block's tag and share, and the shares must add up
+exactly at the shared vertices.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
@@ -24,7 +25,6 @@ gluing two vertices into a new one, and builds one `Hypergraph` at the end.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -78,9 +78,6 @@ class VectorFunction:
     def __getitem__(self, v: str) -> tuple[int, ...]:
         return self._values[v]
 
-    def __contains__(self, v: str) -> bool:
-        return v in self._values
-
     def items(self):
         return self._values.items()
 
@@ -103,16 +100,10 @@ class VectorFunction:
         """The scalar function f_j (1-based)."""
         return {v: vec[j - 1] for v, vec in self._values.items()}
 
-    def key(self) -> tuple:
-        return (self.p, tuple(sorted(self._values.items())))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFunction):
             return NotImplemented
         return self.p == other.p and self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"VectorFunction(p={self.p}, {len(self._values)} vertices)"
@@ -238,13 +229,17 @@ def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     """Certificate of non-partitionability, or None.
 
-    Strips leaf blocks off the block tree, always the leaf of smallest
-    index next: a min-heap holds the remaining blocks with at most one
-    vertex shared with another remaining block, and a block joins it when
-    its shared-vertex count drops to one.  The residual f at the vertices
-    lying in a single remaining block pins the block's tag and share; the
-    share is subtracted from the residual at the shared vertex, which must
+    Walks the block tree breadth-first from block 0, noting for each block
+    the vertex via which it was reached, and strips the blocks in reverse
+    walk order, so every block goes after the blocks hanging below it.  The
+    residual f at a block's vertices other than via pins the block's tag
+    and share; the share is subtracted from the residual at via, which must
     stay non-negative.
+
+    The order cannot change the answer.  A leaf's pinned values force its
+    tag and share: M needs at most one non-zero coordinate and K at least
+    two, and tK_n != tC_n for n >= 5.  So a hard pair gives the same shares
+    in every order, and any order that succeeds yields a valid certificate.
     """
     bt = blocks(H)
     if f.vertices != H.vertices:
@@ -252,35 +247,29 @@ def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     if any(f.sum_at(v) != H.degree(v) for v in H.vertices):
         return None
     nb = len(bt.blocks)
-    # blocks_of[v]: the remaining blocks holding v; stripping a leaf updates
-    # only its shared vertex, as the others are private to it
     blocks_of, block_edges = _block_parts(H, bt)
-    n_shared = [sum(1 for v in b if len(blocks_of[v]) >= 2) for b in bt.blocks]
-    leaves = [i for i in range(nb) if n_shared[i] <= 1]
+    via: dict[int, str | None] = {0: None}
+    order = [0]
+    for i in order:  # grows as the walk reaches new blocks
+        for v in bt.blocks[i] - {via[i]}:  # the blocks at via[i] are reached already
+            for j in blocks_of[v]:
+                if j not in via:
+                    via[j] = v
+                    order.append(j)
     residual = {v: f[v] for v in H.vertices}
     tags: list[BlockTypeTag | None] = [None] * nb
     fns: list[dict[str, tuple[int, ...]] | None] = [None] * nb
-    for _ in range(nb):
-        leaf = heapq.heappop(leaves)
-        bset = bt.blocks[leaf]
-        found = _recognize(
-            Hypergraph(bset, block_edges[leaf]), {v: residual[v] for v in bset if len(blocks_of[v]) == 1}, f.p
-        )
+    for i in reversed(order):
+        bset, c = bt.blocks[i], via[i]
+        found = _recognize(Hypergraph(bset, block_edges[i]), {v: residual[v] for v in bset if v != c}, f.p)
         if found is None:
             return None
-        tags[leaf], fns[leaf] = found
-        for c in bset:
-            if len(blocks_of[c]) >= 2:  # the leaf's one shared vertex
-                left = tuple(a - b for a, b in zip(residual[c], fns[leaf][c]))
-                if min(left) < 0:
-                    return None
-                residual[c] = left
-                blocks_of[c].remove(leaf)
-                if len(blocks_of[c]) == 1:
-                    (other,) = blocks_of[c]
-                    n_shared[other] -= 1
-                    if n_shared[other] == 1:
-                        heapq.heappush(leaves, other)
+        tags[i], fns[i] = found
+        if c is not None:
+            left = tuple(a - b for a, b in zip(residual[c], fns[i][c]))
+            if min(left) < 0:  # early exit: no share could match c when it is pinned
+                return None
+            residual[c] = left
     return HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))  # type: ignore[arg-type]
 
 

@@ -149,7 +149,10 @@ class Hypergraph:
         return self.shrink(self._vertices - frozenset(X))
 
     def underlying_simple(self) -> "Hypergraph":
-        """Keep one edge per distinct incidence set (smallest edge id wins)."""
+        """Keep one edge per distinct incidence set (smallest edge id wins).
+
+        No library path calls it; kept as public API with its tests.
+        """
         seen: dict[frozenset[str], str] = {}
         for e in self._edge_order:
             seen.setdefault(self._incidence[e], e)
@@ -258,14 +261,18 @@ def random_hypergraph(
     if connected and n >= 2:
         from .structure import components
 
-        comps = components(H)
-        while len(comps) > 1:
-            a = rng.choice(sorted(comps[0]))
-            b = rng.choice(sorted(comps[1]))
+        # join each component, by smallest vertex, to the union of the earlier ones
+        first, *rest = components(H)
+        joined = sorted(first)
+        for comp in rest:
+            members = sorted(comp)
+            a = rng.choice(joined)
+            b = rng.choice(members)
             eid += 1
             edges[f"e{eid}"] = frozenset((a, b))
+            joined = sorted(joined + members)
+        if rest:
             H = Hypergraph(vs, edges)
-            comps = components(H)
     return H
 
 
@@ -273,7 +280,10 @@ def random_hypergraph(
 
 
 def is_graph(H: Hypergraph) -> bool:
-    """True when every edge is ordinary (incidence size 2)."""
+    """True when every edge is ordinary (incidence size 2).
+
+    No library path calls it; kept as public API with its tests.
+    """
     return all(len(m) == 2 for m in H.edges().values())
 
 

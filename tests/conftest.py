@@ -8,6 +8,7 @@ verdicts computed once per session.
 
 from __future__ import annotations
 
+import heapq
 import importlib
 import itertools
 import random
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import pytest
 
 import degenpart as dp
+from degenpart import hardpair
 
 SWEEP_SEED = 20260823
 SWEEP_INSTANCES = 2000
@@ -158,6 +160,46 @@ def reference_make_hard(plan, p: int, seed: int = 0) -> tuple[dp.Hypergraph, dp.
     return build(plan)
 
 
+def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCertificate | None:
+    """Reference: strip leaf blocks off the block tree, always the leaf of
+    smallest index next, from a min-heap of the remaining blocks with at
+    most one vertex shared with another remaining block.
+    """
+    bt = dp.blocks(H)
+    if f.vertices != H.vertices:
+        raise ValueError("vector function domain does not match the hypergraph")
+    if any(f.sum_at(v) != H.degree(v) for v in H.vertices):
+        return None
+    nb = len(bt.blocks)
+    blocks_of, block_edges = hardpair._block_parts(H, bt)
+    n_shared = [sum(1 for v in b if len(blocks_of[v]) >= 2) for b in bt.blocks]
+    leaves = [i for i in range(nb) if n_shared[i] <= 1]
+    residual = {v: f[v] for v in H.vertices}
+    tags: list = [None] * nb
+    fns: list = [None] * nb
+    for _ in range(nb):
+        leaf = heapq.heappop(leaves)
+        bset = bt.blocks[leaf]
+        pinned = {v: residual[v] for v in bset if len(blocks_of[v]) == 1}
+        found = hardpair._recognize(dp.Hypergraph(bset, block_edges[leaf]), pinned, f.p)
+        if found is None:
+            return None
+        tags[leaf], fns[leaf] = found
+        for c in bset:
+            if len(blocks_of[c]) >= 2:  # the leaf's one shared vertex
+                left = tuple(a - b for a, b in zip(residual[c], fns[leaf][c]))
+                if min(left) < 0:
+                    return None
+                residual[c] = left
+                blocks_of[c].remove(leaf)
+                if len(blocks_of[c]) == 1:
+                    (other,) = blocks_of[c]
+                    n_shared[other] -= 1
+                    if n_shared[other] == 1:
+                        heapq.heappush(leaves, other)
+    return dp.HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))
+
+
 def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction]:
     """Seeded connected n-vertex instance with sum f = d everywhere, not hard.
 
@@ -183,6 +225,23 @@ def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction
             vec[1] += 1
         values[v] = tuple(vec)
     return H, dp.VectorFunction(p, values)
+
+
+def refinement_instances(seeds: int):
+    """Connected random instances for enforce_degree_bounds: f = (k, k)
+    with k = ceil(Delta / 2) on 7 vertices and 10 edges for each seed below
+    seeds, then f = (k1, Delta - k1) for every 0 < k1 < Delta on 12 vertices
+    and 24 edges, where about a third of the partitions need moves.
+    """
+    for seed in range(seeds):
+        H = dp.random_hypergraph(7, 10, seed=seed, connected=True)
+        k = max(1, (H.max_degree() + 1) // 2)
+        yield H, dp.VectorFunction.constant(H.vertices, (k, k))
+    for seed in range(60):
+        H = dp.random_hypergraph(12, 24, seed=seed, connected=True)
+        D = H.max_degree()
+        for k1 in range(1, D):
+            yield H, dp.VectorFunction.constant(H.vertices, (k1, D - k1))
 
 
 def layered_wheel_instance() -> dp.Hypergraph:

@@ -15,7 +15,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.instancefile import emit_instance
-from conftest import layered_wheel_instance
+from conftest import layered_wheel_instance, refinement_instances
 
 
 def test_1_recognizer_solver_oracle_equivalence(sweep):
@@ -174,11 +174,8 @@ def test_5_invariant_suite(sweep):
 
     # degree-bound shifting: weight strictly decreases, terminates within
     # the initial-minus-minimum weight budget
-    shifted = 0
-    for seed in range(60):
-        H = dp.random_hypergraph(7, 10, seed=seed, connected=True)
-        k = max(1, (H.max_degree() + 1) // 2)
-        f = VectorFunction.constant(H.vertices, (k, k))
+    shifted = moved = 0
+    for H, f in refinement_instances(60):
         res = dp.solve(H, f)
         if res.partition is None:
             continue
@@ -189,7 +186,9 @@ def test_5_invariant_suite(sweep):
         assert all(a > b for a, b in zip(weights, weights[1:]))
         assert len(trace) <= W0 - dp.partition_weight(H, f, P)
         shifted += 1
+        moved += len(trace)
     assert shifted > 20
+    assert moved > 0
 
 
 def test_6_cli_determinism(tmp_path):

@@ -16,6 +16,7 @@ from degenpart.instancefile import (
     parse_instance,
     parse_partition,
 )
+from conftest import balanced_plan
 
 
 def write(tmp_path, name, text):
@@ -84,6 +85,12 @@ class TestCommands:
         assert main(["refine-degrees", write(tmp_path, "c4.hg", c4_instance())]) == 0
         P, _ = parse_partition(capsys.readouterr().out)
         assert dp.verify_partition(H, f, P)
+
+    def test_refine_degrees_certificate_exit_2(self, tmp_path, capsys):
+        assert main(["refine-degrees", write(tmp_path, "c5.hg", c5_instance())]) == 2
+        (cert,) = parse_certificates(capsys.readouterr().out)
+        H = dp.cycle(5)
+        assert dp.verify_certificate(H, VectorFunction.constant(H.vertices, (1, 1)), cert)
 
     def test_list_color(self, tmp_path, capsys):
         H = dp.cycle(4)
@@ -252,17 +259,29 @@ class TestDeterminism:
             values[v] = tuple(vec)
         K = dp.complete_uniform(6, 2)
         g = VectorFunction(3, {v: (3, 1, 1) if v == "v1" else (2, 2, 1) for v in K.vertices})
-        for text in (emit_instance(H, VectorFunction(2, values)), emit_instance(K, g)):
+        # a 40-block hard pair, and the same pair with one unit of f moved
+        rng = random.Random(40)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=3) for _ in range(40)]
+        Hh, fh = dp.make_hard(balanced_plan(bases), 3, seed=40)
+        v = min(u for u in Hh.vertices if fh[u][0])
+        moved = fh.with_value(v, (fh[v][0] - 1, fh[v][1] + 1, fh[v][2]))
+        cases = [
+            ("partition", emit_instance(H, VectorFunction(2, values)), 0),
+            ("partition", emit_instance(K, g), 0),
+            ("is-hard", emit_instance(Hh, fh), 2),
+            ("is-hard", emit_instance(Hh, moved), 0),
+        ]
+        for command, text, code in cases:
             runs = [
                 subprocess.run(
-                    [sys.executable, "-m", "degenpart.cli", "partition", "-"],
+                    [sys.executable, "-m", "degenpart.cli", command, "-"],
                     input=text.encode(),
                     capture_output=True,
                     env={**os.environ, "PYTHONHASHSEED": seed},
                 )
                 for seed in ("0", "1")
             ]
-            assert runs[0].returncode == runs[1].returncode == 0
+            assert runs[0].returncode == runs[1].returncode == code
             assert runs[0].stdout == runs[1].stdout
 
     def test_gen_seeded_reproducible(self):

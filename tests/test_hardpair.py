@@ -7,7 +7,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import balanced_plan, count_calls, reference_make_hard
+from conftest import balanced_plan, count_calls, reference_is_hard, reference_make_hard
 
 
 class TestVectorFunction:
@@ -346,6 +346,32 @@ class TestIsHardAtScale:
         j = rng.randrange(p)
         raised = f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
         assert dp.is_hard(H, raised) is None
+
+
+class TestIsHardMatchesReference:
+    """The rooted strip gives the heap strip's verdict and certificate."""
+
+    def test_plans_and_one_unit_moves(self):
+        compared = hard = 0
+        for seed in range(800):
+            p = 1 + seed % 5
+            H, f = dp.make_hard(dp.random_hard_plan(seed, max_blocks=12, p=p), p, seed=seed)
+            pairs = [f]
+            rng = random.Random(seed)
+            vs = sorted(H.vertices)
+            while p >= 2 and len(pairs) < 3:
+                # move one unit between two coordinates of one vertex
+                v = rng.choice(vs)
+                i, j = rng.sample(range(p), 2)
+                if f[v][i]:
+                    pairs.append(f.with_value(v, tuple(x - (k == i) + (k == j) for k, x in enumerate(f[v]))))
+            for g in pairs:
+                cert = dp.is_hard(H, g)
+                assert cert == reference_is_hard(H, g)
+                compared += 1
+                hard += cert is not None
+        assert compared >= 2000
+        assert 800 <= hard < compared
 
 
 class TestIsHardCallCounts:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -195,6 +196,19 @@ class TestGenerators:
         for seed in range(20):
             H = dp.random_hypergraph(6, 3, seed=seed, connected=True)
             assert dp.is_connected(H)
+
+    def test_random_connected_digest(self):
+        # the bytes of the join-one-component-at-a-time construction
+        h = hashlib.sha256()
+        for n in range(1, 13):
+            for m in range(0, 13, 2):
+                for seed in range(5):
+                    H = dp.random_hypergraph(n, m, seed=seed, connected=True)
+                    h.update(repr([(e, sorted(H.incidence(e))) for e in H.edge_ids]).encode())
+        H = dp.random_hypergraph(300, 100, seed=1, connected=True)
+        assert dp.is_connected(H) and H.size <= 100 + 299
+        h.update(repr([(e, sorted(H.incidence(e))) for e in H.edge_ids]).encode())
+        assert h.hexdigest() == "d452fafa1e37e3fc1ace1fdd232e5d29c71c5785b6bd75ed66fec8e49b27200c"
 
     def test_random_respects_mult_cap(self):
         rng = random.Random(0)
