@@ -36,7 +36,6 @@ from .hypergraph import (
     Hypergraph,
     complete_uniform,
     cycle,
-    is_graph,
     merge,
     path,
     random_hypergraph,
@@ -85,7 +84,6 @@ __all__ = [
     "enforce_degree_bounds",
     "is_Lxs_choosable",
     "is_connected",
-    "is_graph",
     "is_hard",
     "is_k_choosable",
     "is_proper",

@@ -154,12 +154,20 @@ def chromatic_number(H: Hypergraph) -> int:
 def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
     """Backtracking check for a proper coloring choosing from the lists."""
     vs = sorted(H.vertices, key=lambda v: len(L[v]))
-    edges = list(dict.fromkeys(map(H.incidence, H.edge_ids)))  # parallel edges add nothing
+    colors = [sorted(L[v], key=str) for v in vs]
+    at: dict[str, list[frozenset[str]]] = {v: [] for v in vs}
+    for m in dict.fromkeys(map(H.incidence, H.edge_ids)):  # parallel edges add nothing
+        for v in m:
+            at[v].append(m)
     coloring: dict[str, Color] = {}
 
     def ok(v: str, c: Color) -> bool:
-        for m in edges:
-            if v in m and all(u == v or coloring.get(u) == c for u in m):
+        """No edge at v has every other member colored c."""
+        for m in at[v]:
+            for u in m:
+                if u != v and coloring.get(u) != c:
+                    break
+            else:
                 return False
         return True
 
@@ -167,7 +175,7 @@ def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
         if i == len(vs):
             return True
         v = vs[i]
-        for c in sorted(L[v], key=str):
+        for c in colors[i]:
             if ok(v, c):
                 coloring[v] = c
                 if go(i + 1):

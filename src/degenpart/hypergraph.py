@@ -109,7 +109,11 @@ class Hypergraph:
         return min((len(es) for es in self._at.values()), default=0)
 
     def multiplicity(self, u: str, v: str) -> int:
-        """Number of ordinary edges with incidence set exactly {u, v}."""
+        """Number of ordinary edges with incidence set exactly {u, v}, the paper's mu.
+
+        No library path calls it; it is kept for the tests' reference
+        reduction and their hard-pair checks.
+        """
         if u == v:
             raise ValueError("multiplicity requires two distinct vertices")
         if u not in self._vertices or v not in self._vertices:
@@ -147,16 +151,6 @@ class Hypergraph:
         if isinstance(X, str):
             X = (X,)
         return self.shrink(self._vertices - frozenset(X))
-
-    def underlying_simple(self) -> "Hypergraph":
-        """Keep one edge per distinct incidence set (smallest edge id wins).
-
-        No library path calls it; kept as public API with its tests.
-        """
-        seen: dict[frozenset[str], str] = {}
-        for e in self._edge_order:
-            seen.setdefault(self._incidence[e], e)
-        return Hypergraph(self._vertices, {e: m for m, e in seen.items()})
 
 
 def merge(H1: Hypergraph, v1: str, H2: Hypergraph, v2: str, vstar: str) -> Hypergraph:
@@ -277,14 +271,6 @@ def random_hypergraph(
 
 
 # -- shape detection ----------------------------------------------------
-
-
-def is_graph(H: Hypergraph) -> bool:
-    """True when every edge is ordinary (incidence size 2).
-
-    No library path calls it; kept as public API with its tests.
-    """
-    return all(len(m) == 2 for m in H.edges().values())
 
 
 def _pair_counts(H: Hypergraph) -> Counter[frozenset[str]] | None:

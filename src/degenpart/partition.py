@@ -6,11 +6,12 @@ exactly when the pair is not one of the hard pairs recognized by
 hardpair.is_hard.  The solver is the constructive proof of that
 theorem, run one component at a time on a residual state private to it:
 the unplaced vertices, the number of unplaced members of each edge, and
-the residual f.  Placing z into class j shrinks z away and lowers f_j by
-one, clamped at 0, at the other end of every edge left with exactly two
-unplaced members -- the reduction reduce_pair computes on whole values.
-A partition of the reduction extends by z in class j whenever
-f_j(z) > 0, and every vertex v != z keeps sum f >= d.
+the residual f.  The one reduction rule is _Residual.place: placing z
+into class j shrinks z away and lowers f_j by one, clamped at 0, at the
+other end of every edge left with exactly two unplaced members.
+reduce_pair is one such placement on a fresh residual of the whole
+hypergraph.  A partition of the reduction extends by z in class j
+whenever f_j(z) > 0, and every vertex v != z keeps sum f >= d.
 
 Slack finisher.  A vertex s with sum f > d keeps that slack through
 every placement.  The vertices are placed farthest from s first
@@ -53,14 +54,15 @@ class SolveResult:
 
 
 def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hypergraph, VectorFunction]:
-    """The reduction: shrink z away and lower coordinate j by the multiplicities."""
-    H2 = H.shrink_away(z)
-    values = {}
-    for v in H2.vertices:
-        vec = list(f[v])
-        vec[j - 1] = max(0, vec[j - 1] - H.multiplicity(z, v))
-        values[v] = tuple(vec)
-    return H2, VectorFunction(f.p, values)
+    """The reduction at (z, j): z placed into class j on a fresh residual of H.
+
+    Raises ValueError when j is outside 1..p or z is not a vertex of H.
+    """
+    if not 1 <= j <= f.p:
+        raise ValueError(f"class {j} out of range 1..{f.p}")
+    r = _Residual(H, f, H.vertices)
+    r.place(z, j, {})
+    return H.shrink_away(z), VectorFunction(f.p, {v: r.res[v] for v in r.alive})
 
 
 def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
@@ -169,14 +171,13 @@ class _Residual:
         res = self.res
         Hr = self.H.shrink(self.alive)
         sep = separating_vertices(Hr)
-        candidates = [
-            (z, j)
-            for z in sorted(self.alive - sep)
-            for j in sorted((j for j, x in enumerate(res[z], 1) if x), key=lambda j: (-res[z][j - 1], j))
-        ]
-        for z, j in candidates:
-            if any(m > res[u][j - 1] for u, m in Counter(self._partners(z)).items()):
-                return z, j
+        candidates = []
+        for z in sorted(self.alive - sep):
+            mu = Counter(self._partners(z)).items()
+            for j in sorted((j for j, x in enumerate(res[z], 1) if x), key=lambda j: (-res[z][j - 1], j)):
+                if any(m > res[u][j - 1] for u, m in mu):
+                    return z, j
+                candidates.append((z, j))
         fr = VectorFunction(self.p, {v: res[v] for v in self.alive})
         for z, j in candidates:
             if is_hard(*reduce_pair(Hr, fr, z, j)) is None:
@@ -237,19 +238,17 @@ def enforce_degree_bounds(
 
 
 def _find_violation(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> tuple[str, int] | None:
-    classes = {i: frozenset(v for v, c in P.items() if c == i) for i in range(1, f.p + 1)}
     for v in sorted(P):
         i = P[v]
-        if _class_degree(H, classes[i], v) <= f[v][i - 1]:
+        if _class_degree(H, P, v, i) <= f[v][i - 1]:
             continue
         for j in range(1, f.p + 1):
-            if j != i and _class_degree(H, classes[j] | {v}, v) < f[v][j - 1]:
+            if j != i and _class_degree(H, P, v, j) < f[v][j - 1]:
                 return v, j
         raise AssertionError("internal error: no target class despite degree hypothesis")
     return None
 
 
-def _class_degree(H: Hypergraph, X: frozenset[str], v: str) -> int:
-    """Degree of v in the subhypergraph induced by X plus v."""
-    Y = X | {v}
-    return sum(1 for e in H.edges_at(v) if H.incidence(e) <= Y)
+def _class_degree(H: Hypergraph, P: dict[str, int], v: str, c: int) -> int:
+    """Degree of v in class c plus v: the edges at v whose other members are all in class c."""
+    return sum(1 for e in H.edges_at(v) if all(u == v or P[u] == c for u in H.incidence(e)))

@@ -200,6 +200,20 @@ def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCert
     return dp.HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))
 
 
+def reference_reduce_pair(
+    H: dp.Hypergraph, f: dp.VectorFunction, z: str, j: int
+) -> tuple[dp.Hypergraph, dp.VectorFunction]:
+    """Reference: the paper's reduction on whole values, H / z with
+    f_j(v) lowered by mu(z, v) and clamped at 0."""
+    H2 = H.shrink_away(z)
+    values = {}
+    for v in H2.vertices:
+        vec = list(f[v])
+        vec[j - 1] = max(0, vec[j - 1] - H.multiplicity(z, v))
+        values[v] = tuple(vec)
+    return H2, dp.VectorFunction(f.p, values)
+
+
 def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction]:
     """Seeded connected n-vertex instance with sum f = d everywhere, not hard.
 

@@ -16,7 +16,7 @@ from degenpart.instancefile import (
     parse_instance,
     parse_partition,
 )
-from conftest import balanced_plan
+from conftest import balanced_plan, refinement_instances
 
 
 def write(tmp_path, name, text):
@@ -163,6 +163,48 @@ class TestGenHardDigests:
         (cert,) = parse_certificates(capsys.readouterr().out)
         inst = parse_instance(text)
         assert dp.verify_certificate(inst.H, inst.f, cert)
+
+
+def uniform_cycle_3(n):
+    """The 3-uniform cycle with edges {v_i, v_i+1, v_i+2}, indices mod n."""
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    return dp.Hypergraph(vs, {f"e{i}": (vs[i - 1], vs[i % n], vs[(i + 1) % n]) for i in range(1, n + 1)})
+
+
+class TestSolverDigests:
+    """partition and refine-degrees print pinned bytes.  The tight families
+    below take the is_hard fallback at every tight step but the last."""
+
+    @pytest.mark.parametrize(
+        "H, vec, digest",
+        [
+            (dp.cycle(6), (1, 1), "c0d87501d4f03b09c0471a86695fb126bd7315e88cb94294a6428c0ea5ca6695"),
+            (dp.cycle(40), (1, 1), "22fc1fe7c532673a0fb84768febe3a65339c008b936c33225ecca50dd83209db"),
+            (dp.cycle(200), (1, 1), "24c26d3ad59f0d1e39c622fd63880fe37071bcdeb580b4e839d398edcd6d6ac9"),
+            (uniform_cycle_3(7), (2, 1), "3a3aecf7150a5d31a29dd968aa4f3202655f9d541021eb0a5befa04f0e000869"),
+            (uniform_cycle_3(40), (2, 1), "953e0eaf6e7f494bc206afad803d755ac3c367095cc47fa5a1e189b20fab37e2"),
+            (uniform_cycle_3(100), (2, 1), "e0c44eb29bf99b78c0faef3bf46acf2a9d182a89df1d29ee92e37adc6ae33ca7"),
+        ],
+        ids=["C6", "C40", "C200", "C3_7", "C3_40", "C3_100"],
+    )
+    def test_partition_digest(self, H, vec, digest, tmp_path, capsys):
+        text = emit_instance(H, VectorFunction.constant(H.vertices, vec))
+        assert main(["partition", write(tmp_path, "tight.hg", text)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_refine_degrees_digest(self, tmp_path, capsys):
+        # the refinement instances whose partition needs moves
+        outs = []
+        for H, f in refinement_instances(30):
+            P = dp.solve(H, f).partition
+            if P is None or dp.enforce_degree_bounds(H, f, P) == P:
+                continue
+            assert main(["refine-degrees", write(tmp_path, "r.hg", emit_instance(H, f))]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(outs) == 147
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+            "dc823a395fccdb4343a2ce68f1df670d73ed192a146235f6a0b4f70b68f49fa8"
+        )
 
 
 class TestErrors:

@@ -382,11 +382,10 @@ class TestIsHardCallCounts:
         structure_module = importlib.import_module("degenpart.structure")
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, structure_module, "components")
-        count_calls(monkeypatch, counts, Hypergraph, "underlying_simple")
         count_calls(monkeypatch, counts, Hypergraph, "multiplicity")
         cert = dp.is_hard(H, f)
         assert cert is not None and any(isinstance(tag, CTag) for tag in cert.tags)
-        assert counts == {"components": 0, "underlying_simple": 0, "multiplicity": 0}
+        assert counts == {"components": 0, "multiplicity": 0}
 
 
 class TestHardPairProperties:

@@ -134,14 +134,6 @@ class TestOperators:
                     checks += 1
         assert checks >= 1000
 
-    def test_underlying_simple(self):
-        S = dp.t_fold(dp.cycle(5), 3).underlying_simple()
-        assert sorted(S.edges().values(), key=sorted) == sorted(
-            dp.cycle(5).edges().values(), key=sorted
-        )
-        H = dp.random_hypergraph(5, 5, seed=5)
-        assert H.underlying_simple().underlying_simple() == H.underlying_simple()
-
 
 class TestMerge:
     def test_two_edges_make_path(self):
@@ -233,15 +225,11 @@ class TestShapeDetection:
         assert dp.t_fold_cycle_parameters(dp.complete_uniform(4, 2)) is None
         assert dp.t_fold_cycle_parameters(dp.cycle(3)) == (1, 3)
 
-    def test_is_graph(self):
-        assert dp.is_graph(dp.cycle(4))
-        assert not dp.is_graph(triple_edge())
-
 
 def definitional_complete_parameters(H):
     """Reference: H is a graph whose vertex pairs all have one multiplicity t >= 1."""
     n = H.order
-    if n == 0 or not dp.is_graph(H):
+    if n == 0 or any(len(m) != 2 for m in H.edges().values()):
         return None
     if n == 1:
         return (1, 1) if H.size == 0 else None
@@ -258,9 +246,10 @@ def definitional_cycle_parameters(H):
     """Reference: H is a graph whose underlying simple graph is a connected
     2-regular graph on n edges, every edge of it with one multiplicity t."""
     n = H.order
-    if n < 3 or not dp.is_graph(H):
+    if n < 3 or any(len(m) != 2 for m in H.edges().values()):
         return None
-    simple = H.underlying_simple()
+    distinct = set(H.edges().values())
+    simple = Hypergraph(H.vertices, {f"s{i}": m for i, m in enumerate(distinct)})
     if simple.size != n or any(simple.degree(v) != 2 for v in simple.vertices):
         return None
     if not dp.is_connected(simple):

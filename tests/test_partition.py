@@ -10,6 +10,7 @@ from conftest import (
     balanced_plan,
     count_calls,
     layered_wheel_instance,
+    reference_reduce_pair,
     refinement_instances,
     tight_instance,
 )
@@ -86,6 +87,25 @@ class TestReduction:
         assert H2.vertices == {"v2"}
         assert f2["v2"] == (1, 0)
 
+    @pytest.mark.parametrize("z, j", [("v1", 0), ("v1", 3), ("v3", 1)])
+    def test_reduce_pair_rejects_bad_arguments(self, z, j):
+        H = dp.path(2)
+        with pytest.raises(ValueError):
+            dp.reduce_pair(H, const(H, (1, 1)), z, j)
+
+    def test_reduce_pair_matches_reference(self, sweep):
+        # every z and every j, separating z and f_j(z) = 0 included
+        compared = separating = zero = 0
+        for rec in sweep.records:
+            sep = dp.separating_vertices(rec.H)
+            for z in sorted(rec.H.vertices):
+                for j in range(1, rec.f.p + 1):
+                    assert dp.reduce_pair(rec.H, rec.f, z, j) == reference_reduce_pair(rec.H, rec.f, z, j)
+                    compared += 1
+                    separating += z in sep
+                    zero += rec.f[z][j - 1] == 0
+        assert compared > 100_000 and separating > 1000 and zero > 1000
+
     def test_reduction_preserves_non_partitionability(self):
         # on small non-partitionable pairs, every admissible reduction is
         # again non-partitionable
@@ -130,6 +150,19 @@ class TestComplexity:
         assert res.partitionable
         assert counts["separating_vertices"] >= 1
         assert counts["shrink_away"] == counts["reduce_pair"] <= counts["separating_vertices"]
+
+    def test_tight_steps_make_no_multiplicity_scans(self, monkeypatch):
+        # the 2-colouring of an even cycle is forced, so every tight step
+        # but the last falls back to is_hard on a reduction
+        H = dp.cycle(40)
+        f = const(H, (1, 1))
+        partition_module = importlib.import_module("degenpart.partition")
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, Hypergraph, "multiplicity")
+        count_calls(monkeypatch, counts, partition_module, "reduce_pair")
+        res = dp.solve(H, f)
+        assert counts["multiplicity"] == 0 and counts["reduce_pair"] > 0
+        assert dp.verify_partition(H, f, res.partition)
 
     def test_slack_seeking_step_needs_no_reduction(self, monkeypatch):
         # tight triangle, not hard; placing a into class 1 leaves c, with
@@ -267,6 +300,14 @@ class TestEnforceDegreeBounds:
                 assert sum(1 for e in H.edges_at(v) if H.incidence(e) <= X) <= f[v][i - 1]
         # the uneven splits need proper moves
         assert moved > 0
+
+    def test_move_goes_below_the_bound(self):
+        # c has two neighbours in class 1 and one in class 2, with f(c) = (1, 1, 1):
+        # class 2 would hold c at its bound, so c moves to class 3
+        H = Hypergraph(["c", "a1", "a2", "b"], {"e1": ("c", "a1"), "e2": ("c", "a2"), "e3": ("c", "b")})
+        f = VectorFunction(3, {"c": (1, 1, 1), "a1": (2, 2, 2), "a2": (2, 2, 2), "b": (2, 2, 2)})
+        P = {"c": 1, "a1": 1, "a2": 1, "b": 2}
+        assert dp.enforce_degree_bounds(H, f, P) == {**P, "c": 3}
 
     def test_invalid_partition_rejected(self):
         H = dp.cycle(5)
