@@ -61,12 +61,12 @@ def is_Lxs_choosable(H: Hypergraph, L: Mapping[str, set], s: int) -> ColoringRes
     """Color from the lists with every color class strictly s-degenerate."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    for v in sorted(H.vertices):
-        if s * len(L[v]) < H.degree(v):
-            raise ValueError(
-                f"list too small at {v!r}: s*|L| = {s * len(L[v])} < degree {H.degree(v)}"
-            )
     f, universe = list_to_vector(H, L, s)
+    for v in sorted(H.vertices):
+        if f.sum_at(v) < H.degree(v):
+            raise ValueError(
+                f"list too small at {v!r}: s*|L| = {f.sum_at(v)} < degree {H.degree(v)}"
+            )
     res = solve(H, f)
     if res.partition is not None:
         return ColoringResult({v: universe[i - 1] for v, i in res.partition.items()}, None)
@@ -153,7 +153,7 @@ def chromatic_number(H: Hypergraph) -> int:
 
 def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
     """Backtracking check for a proper coloring choosing from the lists."""
-    vs = sorted(H.vertices, key=lambda v: len(L[v]))
+    vs = sorted(H.vertices, key=lambda v: (len(L[v]), v))
     colors = [sorted(L[v], key=str) for v in vs]
     at: dict[str, list[frozenset[str]]] = {v: [] for v in vs}
     for m in dict.fromkeys(map(H.incidence, H.edge_ids)):  # parallel edges add nothing

@@ -43,7 +43,7 @@ def is_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> DegeneracyWit
         raise ValueError(f"bound function misses vertices {sorted(missing)}")
     alive = set(H.vertices)
     deg = {v: H.degree(v) for v in alive}
-    live_edges = {e: set(m) for e, m in H.edges().items()}
+    dead: set[str] = set()
     order: list[str] = []
     ready = [v for v in alive if deg[v] < h[v]]
     heapq.heapify(ready)
@@ -54,10 +54,10 @@ def is_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> DegeneracyWit
         order.append(v)
         # deleting v kills every edge it touches (induced-subhypergraph semantics)
         for e in H.edges_at(v):
-            m = live_edges.pop(e, None)
-            if m is None:
+            if e in dead:
                 continue
-            for u in m:
+            dead.add(e)
+            for u in H.incidence(e):
                 if u not in alive:
                     continue
                 deg[u] -= 1

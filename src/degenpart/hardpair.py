@@ -98,6 +98,8 @@ class VectorFunction:
 
     def coordinate(self, j: int) -> dict[str, int]:
         """The scalar function f_j (1-based)."""
+        if not 1 <= j <= self.p:
+            raise ValueError(f"coordinate {j} out of range 1..{self.p}")
         return {v: vec[j - 1] for v, vec in self._values.items()}
 
     def __eq__(self, other) -> bool:

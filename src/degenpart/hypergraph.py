@@ -135,8 +135,11 @@ class Hypergraph:
         return Hypergraph(X, kept)
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
-        """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X."""
+        """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X;
+        H itself when X is the whole vertex set."""
         X = frozenset(X)
+        if X == self._vertices:
+            return self
         if not X <= self._vertices:
             raise ValueError(f"shrink: {sorted(X - self._vertices)} are not vertices")
         kept = {}

@@ -28,6 +28,12 @@ some vertex has slack and the finisher takes over.  A step prefers a
 reduction leaves u with slack and stays connected, so it is not hard
 without asking is_hard.  Otherwise it takes the first candidate whose
 reduce_pair is not hard.  No step is ever undone.
+
+Verification and refinement.  No edge joins two classes, so
+verify_partition peels all classes at once: one hypergraph of the edges
+inside a class, each vertex bounded by f at its own class.
+enforce_degree_bounds keeps one class-degree table and, after each move,
+recomputes the rows of the moved vertex's neighbours only.
 """
 
 from __future__ import annotations
@@ -187,25 +193,22 @@ class _Residual:
 
 def verify_partition(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> bool:
     """True iff P is total on V(H) and class i is strictly f_i-degenerate."""
-    if set(P) != set(H.vertices):
+    if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
         return False
-    if any(not 1 <= i <= f.p for i in P.values()):
-        return False
-    for i in range(1, f.p + 1):
-        X = frozenset(v for v, c in P.items() if c == i)
-        if not is_strictly_degenerate(H.induced(X), {v: f[v][i - 1] for v in X}):
-            return False
-    return True
+    classes = Hypergraph(H.vertices, _inside_edges(H, P))
+    return bool(is_strictly_degenerate(classes, {v: f[v][i - 1] for v, i in P.items()}))
 
 
 def partition_weight(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> int:
     """W = sum over classes of (edge count minus sum of f_i on the class)."""
-    W = 0
-    for i in range(1, f.p + 1):
-        X = frozenset(v for v, c in P.items() if c == i)
-        Hi = H.induced(X)
-        W += Hi.size - sum(f[v][i - 1] for v in X)
-    return W
+    if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
+        raise ValueError("partition_weight expects a total assignment into classes 1..p")
+    return len(_inside_edges(H, P)) - sum(f[v][i - 1] for v, i in P.items())
+
+
+def _inside_edges(H: Hypergraph, P: dict[str, int]) -> dict[str, frozenset[str]]:
+    """The edges whose members all lie in one class."""
+    return {e: m for e, m in H.edges().items() if len({P[v] for v in m}) == 1}
 
 
 def enforce_degree_bounds(
@@ -216,10 +219,11 @@ def enforce_degree_bounds(
 ) -> dict[str, int]:
     """Shift vertices until every v in class i has d_{H_i}(v) <= f_i(v).
 
-    Each move takes a violating vertex to a class where its degree is
-    below the bound (one exists because sum f_i >= d); the weight
-    partition_weight strictly drops every move, so this terminates.  If
-    trace is a list, the weight after each move is appended to it.
+    Each move takes the smallest violating vertex v to the smallest class
+    j with d_{H_j + v}(v) < f_j(v), which exists because sum f_i >= d.
+    The weight partition_weight strictly drops every move, so this
+    terminates.  If trace is a list, the weight after each move is
+    appended to it.
     """
     if not verify_partition(H, f, P):
         raise ValueError("enforce_degree_bounds expects a valid partition")
@@ -227,28 +231,23 @@ def enforce_degree_bounds(
         if f.sum_at(v) < H.degree(v):
             raise ValueError(f"degree hypothesis violated at {v!r}")
     P = dict(P)
+
+    def row(v: str) -> list[int]:
+        """v's class degrees: entry c - 1 counts the edges at v whose other members lie in class c."""
+        r = [0] * f.p
+        for e in H.edges_at(v):
+            classes = {P[u] for u in H.incidence(e) if u != v}
+            if len(classes) == 1:
+                r[classes.pop() - 1] += 1
+        return r
+
+    deg = {v: row(v) for v in H.vertices}
     while True:
-        move = _find_violation(H, f, P)
-        if move is None:
+        v = min((v for v in H.vertices if deg[v][P[v] - 1] > f[v][P[v] - 1]), default=None)
+        if v is None:
             return P
-        v, j = move
-        P[v] = j
+        P[v] = next(j for j in range(1, f.p + 1) if deg[v][j - 1] < f[v][j - 1])
+        for u in {u for e in H.edges_at(v) for u in H.incidence(e)} - {v}:
+            deg[u] = row(u)  # a move changes only the rows of v's neighbours
         if trace is not None:
             trace.append(partition_weight(H, f, P))
-
-
-def _find_violation(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> tuple[str, int] | None:
-    for v in sorted(P):
-        i = P[v]
-        if _class_degree(H, P, v, i) <= f[v][i - 1]:
-            continue
-        for j in range(1, f.p + 1):
-            if j != i and _class_degree(H, P, v, j) < f[v][j - 1]:
-                return v, j
-        raise AssertionError("internal error: no target class despite degree hypothesis")
-    return None
-
-
-def _class_degree(H: Hypergraph, P: dict[str, int], v: str, c: int) -> int:
-    """Degree of v in class c plus v: the edges at v whose other members are all in class c."""
-    return sum(1 for e in H.edges_at(v) if all(u == v or P[u] == c for u in H.incidence(e)))

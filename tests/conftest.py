@@ -214,6 +214,69 @@ def reference_reduce_pair(
     return H2, dp.VectorFunction(f.p, values)
 
 
+def reference_verify_partition(H: dp.Hypergraph, f: dp.VectorFunction, P: dict[str, int]) -> bool:
+    """Reference: P is total on V(H) with classes in 1..p, and each class,
+    copied with `induced`, peels as strictly f_i-degenerate on its own."""
+    if set(P) != set(H.vertices):
+        return False
+    if any(not 1 <= i <= f.p for i in P.values()):
+        return False
+    for i in range(1, f.p + 1):
+        X = frozenset(v for v, c in P.items() if c == i)
+        if not dp.is_strictly_degenerate(H.induced(X), {v: f[v][i - 1] for v in X}):
+            return False
+    return True
+
+
+def reference_partition_weight(H: dp.Hypergraph, f: dp.VectorFunction, P: dict[str, int]) -> int:
+    """Reference: W = sum over classes of the class copy's edge count
+    minus the sum of f_i on the class."""
+    W = 0
+    for i in range(1, f.p + 1):
+        X = frozenset(v for v, c in P.items() if c == i)
+        Hi = H.induced(X)
+        W += Hi.size - sum(f[v][i - 1] for v in X)
+    return W
+
+
+def reference_enforce_degree_bounds(
+    H: dp.Hypergraph, f: dp.VectorFunction, P: dict[str, int], trace: list[int] | None = None
+) -> dict[str, int]:
+    """Reference: before every move, rescan the vertices in name order for
+    the first v with d_{H_i}(v) > f_i(v), counting each class degree from
+    the edges at v, and move v to the smallest class j != i with
+    d_{H_j + v}(v) < f_j(v); append the recomputed weight after each move."""
+
+    def class_degree(v, c):
+        return sum(1 for e in H.edges_at(v) if all(u == v or P[u] == c for u in H.incidence(e)))
+
+    def find_violation():
+        for v in sorted(P):
+            i = P[v]
+            if class_degree(v, i) <= f[v][i - 1]:
+                continue
+            for j in range(1, f.p + 1):
+                if j != i and class_degree(v, j) < f[v][j - 1]:
+                    return v, j
+            raise AssertionError("no target class despite degree hypothesis")
+        return None
+
+    if not reference_verify_partition(H, f, P):
+        raise ValueError("enforce_degree_bounds expects a valid partition")
+    for v in sorted(H.vertices):
+        if f.sum_at(v) < H.degree(v):
+            raise ValueError(f"degree hypothesis violated at {v!r}")
+    P = dict(P)
+    while True:
+        move = find_violation()
+        if move is None:
+            return P
+        v, j = move
+        P[v] = j
+        if trace is not None:
+            trace.append(reference_partition_weight(H, f, P))
+
+
 def tight_instance(n: int, p: int = 3) -> tuple[dp.Hypergraph, dp.VectorFunction]:
     """Seeded connected n-vertex instance with sum f = d everywhere, not hard.
 

@@ -71,6 +71,14 @@ class TestListColor:
         with pytest.raises(ValueError, match="list too small"):
             dp.list_color(H, {v: ({1} if v == "v1" else {1, 2}) for v in H.vertices})
 
+    def test_lists_missing_a_vertex_rejected(self):
+        # the list sizes used to be read first, raising KeyError: 'v2'
+        H = dp.cycle(4)
+        with pytest.raises(ValueError, match="domain does not match"):
+            dp.list_color(H, {"v1": {1, 2}})
+        with pytest.raises(ValueError, match="domain does not match"):
+            dp.is_Lxs_choosable(H, {"v1": {1, 2}}, 2)
+
     def test_colorings_respect_lists(self):
         rng = random.Random(5)
         for seed in range(25):

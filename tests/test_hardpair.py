@@ -29,6 +29,17 @@ class TestVectorFunction:
         assert f.sum_at("a") == 3
         assert f.restrict(["a"]).vertices == {"a"}
 
+    def test_coordinate(self):
+        f = VectorFunction(2, {"a": (1, 2), "b": (0, 3)})
+        assert f.coordinate(2) == {"a": 2, "b": 3}
+
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_coordinate_out_of_range(self, j):
+        # j = 0 used to read f_p and j = p + 1 raised IndexError
+        f = VectorFunction(2, {"a": (1, 2)})
+        with pytest.raises(ValueError, match="out of range"):
+            f.coordinate(j)
+
 
 class TestClassifyBlock:
     def test_doubled_complete(self):

@@ -108,6 +108,7 @@ class TestOperators:
     def test_shrink_identity(self):
         H = dp.random_hypergraph(5, 6, seed=2)
         assert H.shrink(H.vertices) == H
+        assert H.shrink(H.vertices) is H
 
     def test_shrink_commutes(self):
         H = dp.random_hypergraph(6, 8, seed=3)

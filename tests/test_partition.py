@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,10 @@ from conftest import (
     balanced_plan,
     count_calls,
     layered_wheel_instance,
+    reference_enforce_degree_bounds,
+    reference_partition_weight,
     reference_reduce_pair,
+    reference_verify_partition,
     refinement_instances,
     tight_instance,
 )
@@ -206,6 +210,28 @@ class TestConstructionCounts:
         assert (nblocks, counts["__init__"]) == (16, 16)
         assert list(res.certificates) == [H.vertices]
 
+    def test_verify_partition_peels_once(self, monkeypatch):
+        # five non-empty classes: one peel of one hypergraph of the inside edges
+        H = dp.random_hypergraph(10, 15, seed=7, connected=True)
+        f = const(H, (H.max_degree(),) * 5)
+        P = {v: 1 + k % 5 for k, v in enumerate(sorted(H.vertices))}
+        partition_module = importlib.import_module("degenpart.partition")
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, partition_module, "is_strictly_degenerate")
+        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        assert dp.verify_partition(H, f, P)
+        assert counts == {"is_strictly_degenerate": 1, "__init__": 1}
+
+    def test_tight_triangle_builds_two_hypergraphs(self, monkeypatch):
+        # is_hard's one block and verify_partition's inside edges; the first
+        # tight step shrinks to the whole vertex set without a copy
+        H = Hypergraph("abc", {"e1": "ab", "e2": "bc", "e3": "ca"})
+        f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        assert dp.solve(H, f).partitionable
+        assert counts["__init__"] == 2
+
     def test_one_certificate_per_component(self):
         H1, f1 = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
         H2, f2 = dp.make_hard(dp.random_hard_plan(5, max_blocks=20, p=3), 3, seed=5)
@@ -263,6 +289,57 @@ class TestVerifyPartition:
         f = VectorFunction(2, {"v1": (2, 0), "v2": (1, 0)})
         assert dp.verify_partition(H, f, {"v1": 1, "v2": 1})
 
+    def test_matches_reference_on_sweep_partitions(self, sweep):
+        # each solver partition, and 5 one-vertex recolourings of it
+        rng = random.Random(12)
+        compared = rejected = 0
+        for rec in sweep.records:
+            if rec.partition is None:
+                continue
+            vs = sorted(rec.H.vertices)
+            candidates = [rec.partition]
+            for _ in range(5):
+                v = rng.choice(vs)
+                others = [c for c in range(1, rec.f.p + 1) if c != rec.partition[v]]
+                candidates.append({**rec.partition, v: rng.choice(others)})
+            for P in candidates:
+                ok = dp.verify_partition(rec.H, rec.f, P)
+                assert ok == reference_verify_partition(rec.H, rec.f, P)
+                W = dp.partition_weight(rec.H, rec.f, P)
+                assert W == reference_partition_weight(rec.H, rec.f, P)
+                compared += 1
+                rejected += not ok
+        assert compared > 50_000 and rejected > 1000
+
+    def test_matches_reference_on_random_partitions(self):
+        rng = random.Random(5)
+        accepted = rejected = with_empty_class = 0
+        for seed in range(3000):
+            p = rng.randint(1, 5)
+            H = dp.random_hypergraph(rng.randint(1, 8), rng.randint(0, 12), seed=seed)
+            f = VectorFunction(p, {v: tuple(rng.randint(0, 3) for _ in range(p)) for v in H.vertices})
+            P = {v: rng.randint(1, p) for v in H.vertices}
+            ok = dp.verify_partition(H, f, P)
+            assert ok == reference_verify_partition(H, f, P)
+            assert dp.partition_weight(H, f, P) == reference_partition_weight(H, f, P)
+            accepted += ok
+            rejected += not ok
+            with_empty_class += len(set(P.values())) < p
+        assert accepted > 500 and rejected > 500 and with_empty_class > 500
+
+    @pytest.mark.parametrize("P", [
+        {"v1": 1},                                 # partial
+        {f"v{i}": 1 for i in range(1, 6)},         # a vertex outside H
+        {f"v{i}": i % 3 for i in range(1, 5)},     # classes 0 and 2 of 1..2
+    ])
+    def test_rejects_partial_or_out_of_range(self, P):
+        # partition_weight used to skip such vertices: {"v1": 1} gave -1
+        H = dp.cycle(4)
+        f = const(H, (1, 1))
+        assert not dp.verify_partition(H, f, P)
+        with pytest.raises(ValueError):
+            dp.partition_weight(H, f, P)
+
 
 class TestEnforceDegreeBounds:
     def test_already_satisfying_unchanged(self):
@@ -300,6 +377,46 @@ class TestEnforceDegreeBounds:
                 assert sum(1 for e in H.edges_at(v) if H.incidence(e) <= X) <= f[v][i - 1]
         # the uneven splits need proper moves
         assert moved > 0
+
+    def test_matches_reference_on_refinement_instances(self):
+        moved = 0
+        for H, f in refinement_instances(30):
+            P = dp.solve(H, f).partition
+            if P is None:
+                continue
+            trace, ref_trace = [], []
+            refined = dp.enforce_degree_bounds(H, f, P, trace)
+            assert refined == reference_enforce_degree_bounds(H, f, P, ref_trace)
+            assert trace == ref_trace
+            moved += len(trace)
+        assert moved > 100
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_matches_reference_with_more_classes(self, p, spread):
+        # f = (k, ..., k) with p*k >= Delta, or each d(v) + 1 spread at random
+        # over the p classes, from the solver's partition and from random
+        # valid ones, where the target class is not forced
+        moved = 0
+        for seed in range(60):
+            H = dp.random_hypergraph(10, 24, seed=seed, connected=True)
+            rng = random.Random(seed)
+            vs = sorted(H.vertices)
+            f = const(H, (-(-H.max_degree() // p),) * p)
+            if spread:
+                draws = {v: Counter(rng.choices(range(p), k=H.degree(v) + 1)) for v in vs}
+                f = VectorFunction(p, {v: tuple(draws[v][i] for i in range(p)) for v in vs})
+            starts = [dp.solve(H, f).partition]
+            starts += [{v: rng.randint(1, p) for v in vs} for _ in range(10)]
+            for P in starts:
+                if P is None or not reference_verify_partition(H, f, P):
+                    continue
+                trace, ref_trace = [], []
+                refined = dp.enforce_degree_bounds(H, f, P, trace)
+                assert refined == reference_enforce_degree_bounds(H, f, P, ref_trace)
+                assert trace == ref_trace
+                moved += len(trace)
+        assert moved > 20
 
     def test_move_goes_below_the_bound(self):
         # c has two neighbours in class 1 and one in class 2, with f(c) = (1, 1, 1):
