@@ -219,13 +219,11 @@ def _recognize(
 
 
 def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
-    """Match one block against the three base patterns; None if no match."""
+    """The base type of one block: is_hard's single tag, or None if no match."""
     if not is_connected(B) or separating_vertices(B):
         raise ValueError("classify_block expects a connected block without separating vertices")
-    if fB.vertices != B.vertices:
-        raise ValueError("block function domain does not match the block")
-    found = _recognize(B, {v: fB[v] for v in B.vertices}, fB.p)
-    return found[0] if found else None
+    cert = is_hard(B, fB)
+    return cert.tags[0] if cert else None
 
 
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:

@@ -10,8 +10,13 @@ Instance grammar (one record per line, '#' starts a comment):
 
 Emission is canonical: header first, vertices sorted by name, list lines
 in the same order, edges sorted by name, single spaces, '\\n' endings.
-Results (partitions, colorings, certificates) use the same token style so
-every command's stdout can be parsed back.
+
+Answers put the header first.  'partition <p>' has one 'a <vertex> <class>'
+and 'coloring' one 'c <vertex> <color>' per vertex.  Each hard component's
+'certificate <n>' has, for each block 1 <= i <= n, one 'b <i> <vertices>',
+one 't <i> M <j>' (or 'K <t> <counts>' or 'C <t> <k> <l>') and one
+'f <i> <vertex> <values>' per block vertex.  The parse_* readers raise
+ParseError naming the offending line, and every emitted answer reads back.
 """
 
 from __future__ import annotations
@@ -144,20 +149,7 @@ def emit_partition(P: dict[str, int], p: int) -> str:
 
 
 def parse_partition(text: str) -> tuple[dict[str, int], int]:
-    p = None
-    P: dict[str, int] = {}
-    for line_no, tok in _tokens(text):
-        if tok[0] == "partition":
-            p = int(tok[1])
-        elif tok[0] == "a":
-            if p is None:
-                raise ParseError(line_no, "missing 'partition <p>' header")
-            P[tok[1]] = int(tok[2])
-        else:
-            raise ParseError(line_no, f"unknown record {tok[0]!r}")
-    if p is None:
-        raise ParseError(0, "not a partition block")
-    return P, p
+    return _assignment(text, "partition <p>", "a", _int)
 
 
 def emit_coloring(coloring: dict[str, object]) -> str:
@@ -167,18 +159,7 @@ def emit_coloring(coloring: dict[str, object]) -> str:
 
 
 def parse_coloring(text: str) -> dict[str, str]:
-    seen_header = False
-    out: dict[str, str] = {}
-    for line_no, tok in _tokens(text):
-        if tok == ["coloring"]:
-            seen_header = True
-        elif tok[0] == "c" and len(tok) == 3:
-            out[tok[1]] = tok[2]
-        else:
-            raise ParseError(line_no, f"unknown record {tok[0]!r}")
-    if not seen_header:
-        raise ParseError(0, "not a coloring block")
-    return out
+    return _assignment(text, "coloring", "c", lambda line_no, word: word)[0]
 
 
 def _emit_tag(tag) -> str:
@@ -206,43 +187,60 @@ def emit_certificates(certs: dict[frozenset[str], HardPairCertificate]) -> str:
 
 
 def parse_certificates(text: str) -> list[HardPairCertificate]:
-    certs: list[HardPairCertificate] = []
-    nblocks = 0
-    bsets: list[frozenset[str]] = []
-    tags: list = []
-    fns: list[dict[str, tuple[int, ...]]] = []
-
-    def flush(line_no: int):
-        if not bsets and not certs and nblocks == 0:
-            return
-        if len(bsets) != nblocks or len(tags) != nblocks:
-            raise ParseError(line_no, "certificate block counts do not match header")
-        certs.append(HardPairCertificate(tuple(bsets), tuple(tags), tuple(fns)))
-
-    for line_no, tok in _tokens(text):
-        if tok[0] == "certificate":
-            flush(line_no)
-            nblocks = int(tok[1])
-            bsets, tags, fns = [], [], []
-        elif tok[0] == "b":
-            bsets.append(frozenset(tok[2:]))
-            fns.append({})
-        elif tok[0] == "t":
-            kind = tok[2]
-            if kind == "M":
-                tags.append(MTag(int(tok[3])))
-            elif kind == "K":
-                tags.append(KTag(int(tok[3]), tuple(int(x) for x in tok[4:])))
-            elif kind == "C":
-                tags.append(CTag(int(tok[3]), int(tok[4]), int(tok[5])))
+    certs = []
+    for head, (n,), records in _split(text, "certificate <n>"):
+        bsets, tags, fns = [None] * n, [None] * n, [{} for _ in range(n)]
+        for line_no, (kind, *tok) in records:
+            if kind not in ("b", "t", "f") or len(tok) < 2 + (kind == "f") or not 1 <= _int(line_no, tok[0]) <= n:
+                raise ParseError(line_no, f"expected a 'b <i>', 't <i>' or 'f <i> <vertex>' record, 1 <= i <= {n}")
+            i = int(tok[0]) - 1
+            if kind == "b" and bsets[i] is None:
+                bsets[i] = frozenset(tok[1:])
+            elif kind == "t" and tags[i] is None:
+                t, x = tok[1], [_int(line_no, w) for w in tok[2:]]
+                if not {"M": len(x) == 1, "K": len(x) >= 2, "C": len(x) == 3}.get(t):
+                    raise ParseError(line_no, "block type must be M <j>, K <t> <counts> or C <t> <k> <l>")
+                tags[i] = MTag(*x) if t == "M" else CTag(*x) if t == "C" else KTag(x[0], tuple(x[1:]))
+            elif kind == "f" and tok[1] not in fns[i]:
+                fns[i][tok[1]] = tuple(_int(line_no, w) for w in tok[2:])
             else:
-                raise ParseError(line_no, f"unknown block type {kind!r}")
-        elif tok[0] == "f":
-            i = int(tok[1]) - 1
-            fns[i][tok[2]] = tuple(int(x) for x in tok[3:])
-        else:
-            raise ParseError(line_no, f"unknown record {tok[0]!r}")
-    flush(0)
-    if not certs:
-        raise ParseError(0, "not a certificate block")
+                raise ParseError(line_no, f"repeated {kind!r} record")
+        if None in bsets + tags:
+            raise ParseError(head, f"block {(bsets + tags).index(None) % n + 1} lacks a 'b' or 't' record")
+        certs.append(HardPairCertificate(tuple(bsets), tuple(tags), tuple(fns)))
     return certs
+
+
+def _split(text: str, header: str) -> list[tuple[int, list[int], list[tuple[int, list[str]]]]]:
+    word, *params = header.split()
+    blocks: list = []
+    for line_no, tok in _tokens(text):
+        if tok[0] == word:
+            if len(tok) != 1 + len(params):
+                raise ParseError(line_no, f"header must be {header!r}")
+            blocks.append((line_no, [_int(line_no, x) for x in tok[1:]], []))
+        elif not blocks:
+            raise ParseError(line_no, f"missing {header!r} header")
+        else:
+            blocks[-1][2].append((line_no, tok))
+    if not blocks:
+        raise ParseError(0, f"not a {word} block")
+    return blocks
+
+
+def _assignment(text: str, header: str, tag: str, value) -> tuple:
+    (_, args, records), *more = _split(text, header)
+    if more:
+        raise ParseError(more[0][0], f"second {header!r} header")
+    out = {}
+    for line_no, tok in records:
+        if tok[0] != tag or len(tok) != 3 or tok[1] in out:
+            raise ParseError(line_no, f"expected one '{tag} <vertex> <value>' record per vertex")
+        out[tok[1]] = value(line_no, tok[2])
+    return (out, *args)
+
+
+def _int(line_no: int, word: str) -> int:
+    if not (word.isascii() and word.isdigit()):
+        raise ParseError(line_no, f"expected a non-negative integer, got {word!r}")
+    return int(word)

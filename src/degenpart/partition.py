@@ -62,8 +62,10 @@ class SolveResult:
 def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hypergraph, VectorFunction]:
     """The reduction at (z, j): z placed into class j on a fresh residual of H.
 
-    Raises ValueError when j is outside 1..p or z is not a vertex of H.
+    Raises ValueError when f is not defined on exactly V(H), j is outside
+    1..p or z is not a vertex of H.
     """
+    _check_domain(H, f)
     if not 1 <= j <= f.p:
         raise ValueError(f"class {j} out of range 1..{f.p}")
     r = _Residual(H, f, H.vertices)
@@ -73,8 +75,7 @@ def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hyper
 
 def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     """Partition H into strictly f_i-degenerate classes, or certify failure."""
-    if f.vertices != H.vertices:
-        raise ValueError("vector function domain does not match the hypergraph")
+    _check_domain(H, f)
     slack = set()
     for v in sorted(H.vertices):
         total, d = f.sum_at(v), H.degree(v)
@@ -192,7 +193,11 @@ class _Residual:
 
 
 def verify_partition(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> bool:
-    """True iff P is total on V(H) and class i is strictly f_i-degenerate."""
+    """True iff P is total on V(H) and class i is strictly f_i-degenerate.
+
+    Raises ValueError when f is not defined on exactly V(H).
+    """
+    _check_domain(H, f)
     if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
         return False
     classes = Hypergraph(H.vertices, _inside_edges(H, P))
@@ -201,9 +206,15 @@ def verify_partition(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> boo
 
 def partition_weight(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> int:
     """W = sum over classes of (edge count minus sum of f_i on the class)."""
+    _check_domain(H, f)
     if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
         raise ValueError("partition_weight expects a total assignment into classes 1..p")
     return len(_inside_edges(H, P)) - sum(f[v][i - 1] for v, i in P.items())
+
+
+def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
+    if f.vertices != H.vertices:
+        raise ValueError("vector function domain does not match the hypergraph")
 
 
 def _inside_edges(H: Hypergraph, P: dict[str, int]) -> dict[str, frozenset[str]]:

@@ -81,6 +81,12 @@ class TestClassifyBlock:
         B = Hypergraph("a")
         assert dp.classify_block(B, VectorFunction.constant("a", (0, 0))) == MTag(1)
 
+    def test_domain_error_is_is_hards(self):
+        B = dp.cycle(5)
+        fB = VectorFunction.constant(["v1", "v2"], (1, 1))
+        with pytest.raises(ValueError, match="vector function domain does not match the hypergraph"):
+            dp.classify_block(B, fB)
+
 
 class TestIsHard:
     def test_odd_cycle(self):

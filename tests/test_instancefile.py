@@ -1,6 +1,12 @@
+import contextlib
+import io
+import sys
+from pathlib import Path
+
 import pytest
 
 import degenpart as dp
+from degenpart.cli import main
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
 from degenpart.instancefile import (
@@ -125,3 +131,76 @@ class TestResults:
     def test_not_a_certificate(self):
         with pytest.raises(ParseError):
             parse_certificates("partition 2\na a 1\n")
+
+
+class TestMalformedAnswers:
+    """Each answer raises ParseError naming its offending line."""
+
+    @pytest.mark.parametrize("reader, text, line", [
+        (parse_partition, "partition 2\na v1\n", 2),                        # short record
+        (parse_partition, "partition\na v1 1\n", 1),                         # no p
+        (parse_partition, "partition x\na v1 1\n", 1),
+        (parse_partition, "partition 2\na v1 1\na v2 2\na v1 2\n", 4),       # repeated vertex
+        (parse_partition, "partition 2\na v1 1\npartition 2\n", 3),          # second header
+        (parse_partition, "a v1 1\npartition 2\n", 1),                       # record before header
+        (parse_partition, "partition 2\na v1 x\n", 2),
+        (parse_coloring, "coloring\nc a\n", 2),
+        (parse_coloring, "coloring\nc a 1\nc a 2\n", 3),
+        (parse_coloring, "c a 1\ncoloring\n", 1),
+        (parse_certificates, "certificate x\n", 1),
+        (parse_certificates, "certificate 1\nb 1 v1\nt 1 M 1\nf 0 v1 1 0\n", 4),
+        (parse_certificates, "certificate 1\nb 1 v1\nt 1 M 1\nf 9 v1 1 0\n", 4),
+        (parse_certificates, "certificate 1\nb 1 v1\nt 1\n", 3),
+        (parse_certificates, "certificate 1\nb 1 v1\nt 1 Q 1\n", 3),
+        (parse_certificates, "certificate 1\nb 1 v1\nf 1 v1 0 0\n", 1),     # block with no 't' line
+        (parse_certificates, "certificate 1\nb 1 v1\nt 1 M 1\nt 1 M 2\n", 4),
+        (parse_certificates, "b 1 v1\ncertificate 1\n", 1),
+    ])
+    def test_raises_with_line(self, reader, text, line):
+        with pytest.raises(ParseError) as exc:
+            reader(text)
+        assert str(exc.value).startswith(f"line {line}:")
+        assert exc.value.line_no == line
+
+
+def _bench_requests(workload):
+    """The benchmark's requests of one workload at seed 7 (bench/workloads.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.GENERATORS[workload](7)
+
+
+class TestBenchmarkAnswers:
+    """Every answer the CLI gives on the benchmark's requests reads back to
+    the library's value."""
+
+    @pytest.mark.parametrize("workload, counts", [
+        ("tight", {"partition": 111}),
+        ("hard", {"certificate": 120}),
+        ("slack", {"partition": 70, "coloring": 62}),
+    ], ids=["tight", "hard", "slack"])
+    def test_round_trip(self, tmp_path, workload, counts):
+        seen = dict.fromkeys(counts, 0)
+        for k, req in enumerate(_bench_requests(workload)):
+            path = tmp_path / f"{k}.hg"
+            path.write_text(req.text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([req.command, str(path)])
+            assert code == req.expect_exit
+            inst = parse_instance(req.text)
+            if code == 2:
+                assert parse_certificates(out.getvalue()) == [dp.is_hard(inst.H, inst.f)]
+                seen["certificate"] += 1
+            elif req.command == "list-color":
+                coloring = dp.list_color(inst.H, inst.lists).coloring
+                assert parse_coloring(out.getvalue()) == {v: str(c) for v, c in coloring.items()}
+                seen["coloring"] += 1
+            else:
+                P, p = parse_partition(out.getvalue())
+                assert p == inst.p and dp.verify_partition(inst.H, inst.f, P)
+                seen["partition"] += 1
+        assert seen == counts

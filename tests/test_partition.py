@@ -341,6 +341,24 @@ class TestVerifyPartition:
             dp.partition_weight(H, f, P)
 
 
+class TestDomainCheck:
+    """f missing a vertex of H used to end in KeyError: 'v3' in each of these."""
+
+    CALLS = {
+        "verify_partition": lambda H, f: dp.verify_partition(H, f, {"v1": 1, "v2": 2, "v3": 1}),
+        "partition_weight": lambda H, f: dp.partition_weight(H, f, {"v1": 1, "v2": 2, "v3": 1}),
+        "enforce_degree_bounds": lambda H, f: dp.enforce_degree_bounds(H, f, {"v1": 1, "v2": 2, "v3": 1}),
+        "reduce_pair": lambda H, f: dp.reduce_pair(H, f, "v1", 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_vector_function_missing_a_vertex(self, name):
+        H = dp.path(3)
+        f = VectorFunction(2, {"v1": (1, 1), "v2": (1, 1)})
+        with pytest.raises(ValueError, match="vector function domain does not match the hypergraph"):
+            self.CALLS[name](H, f)
+
+
 class TestEnforceDegreeBounds:
     def test_already_satisfying_unchanged(self):
         H = dp.cycle(4)
