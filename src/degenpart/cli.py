@@ -19,7 +19,6 @@ from .hardpair import VectorFunction, is_hard, make_hard, random_hard_plan
 from .hypergraph import Hypergraph, complete_uniform, cycle, path, random_hypergraph, t_fold
 from .instancefile import (
     Instance,
-    ParseError,
     emit_certificates,
     emit_coloring,
     emit_instance,
@@ -41,13 +40,13 @@ def _read_instance(path_arg: str) -> Instance:
 
 def _need_f(inst: Instance) -> VectorFunction:
     if inst.f is None:
-        raise ParseError(0, "this command needs vertex f-values (header 'hg <p>' with p >= 1)")
+        raise ValueError("this command needs vertex f-values (header 'hg <p>' with p >= 1)")
     return inst.f
 
 
 def _need_lists(inst: Instance) -> dict[str, set[str]]:
     if inst.lists is None:
-        raise ParseError(0, "this command needs list lines ('l <vertex> <colors...>')")
+        raise ValueError("this command needs list lines ('l <vertex> <colors...>')")
     return inst.lists
 
 
@@ -72,13 +71,23 @@ def _cmd_degenerate(args) -> int:
     inst = _read_instance(args.file)
     f = _need_f(inst)
     if f.p != 1:
-        raise ParseError(0, "degenerate expects a single-coordinate instance (hg 1)")
+        raise ValueError("degenerate expects a single-coordinate instance (hg 1)")
     wit = is_strictly_degenerate(inst.H, f.coordinate(1))
     if wit:
         print("degenerate" + "".join(" " + v for v in wit.removal_order))
         return 0
     print("core" + "".join(" " + v for v in sorted(wit.core)))
     return 2
+
+
+def _answer(found, emit, certificates) -> int:
+    """Write emit(found) and return 0, or, when nothing was found, the
+    certificates and return 2."""
+    if found is None:
+        sys.stdout.write(emit_certificates(certificates))
+        return 2
+    sys.stdout.write(emit(found))
+    return 0
 
 
 def _cmd_is_hard(args) -> int:
@@ -89,43 +98,27 @@ def _cmd_is_hard(args) -> int:
         cert = is_hard(inst.H.induced(comp), f.restrict(comp))
         if cert is not None:
             certs[comp] = cert
-    if certs:
-        sys.stdout.write(emit_certificates(certs))
-        return 2
-    print("not-hard")
-    return 0
+    return _answer(None if certs else "not-hard\n", str, certs)
 
 
 def _cmd_partition(args) -> int:
     inst = _read_instance(args.file)
     res = solve(inst.H, _need_f(inst))
-    if res.partition is not None:
-        sys.stdout.write(emit_partition(res.partition, inst.p))
-        return 0
-    sys.stdout.write(emit_certificates(res.certificates))
-    return 2
+    return _answer(res.partition, lambda P: emit_partition(P, inst.p), res.certificates)
 
 
 def _cmd_refine_degrees(args) -> int:
     inst = _read_instance(args.file)
     f = _need_f(inst)
     res = solve(inst.H, f)
-    if res.partition is None:
-        sys.stdout.write(emit_certificates(res.certificates))
-        return 2
-    refined = enforce_degree_bounds(inst.H, f, res.partition)
-    sys.stdout.write(emit_partition(refined, inst.p))
-    return 0
+    return _answer(res.partition, lambda P: emit_partition(enforce_degree_bounds(inst.H, f, P), inst.p),
+                   res.certificates)
 
 
 def _cmd_list_color(args) -> int:
     inst = _read_instance(args.file)
     res = coloring_mod.list_color(inst.H, _need_lists(inst))
-    if res.coloring is not None:
-        sys.stdout.write(emit_coloring(res.coloring))
-        return 0
-    sys.stdout.write(emit_certificates(res.certificates))
-    return 2
+    return _answer(res.coloring, emit_coloring, res.certificates)
 
 
 def _cmd_alpha(args) -> int:
@@ -228,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         if needs_file:
             sp.add_argument("file", help="instance file, or - for stdin")
-        sp.add_argument("--format", choices=["text"], default="text")
         sp.set_defaults(fn=fn)
         return sp
 
@@ -275,7 +267,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

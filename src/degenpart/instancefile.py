@@ -11,12 +11,16 @@ Instance grammar (one record per line, '#' starts a comment):
 Emission is canonical: header first, vertices sorted by name, list lines
 in the same order, edges sorted by name, single spaces, '\\n' endings.
 
-Answers put the header first.  'partition <p>' has one 'a <vertex> <class>'
-and 'coloring' one 'c <vertex> <color>' per vertex.  Each hard component's
-'certificate <n>' has, for each block 1 <= i <= n, one 'b <i> <vertices>',
-one 't <i> M <j>' (or 'K <t> <counts>' or 'C <t> <k> <l>') and one
-'f <i> <vertex> <values>' per block vertex.  The parse_* readers raise
-ParseError naming the offending line, and every emitted answer reads back.
+Answers: 'partition <p>' has one 'a <vertex> <class>' and 'coloring' one
+'c <vertex> <color>' per vertex.  Each hard component's 'certificate <n>'
+has, for each block 1 <= i <= n, one 'b <i> <vertices>', one 't <i> M <j>'
+(or 'K <t> <counts>' or 'C <t> <k> <l>') and one 'f <i> <vertex> <values>'
+per block vertex.
+
+One splitter reads every kind of file: the header comes first, a record
+before it is an error, and every number is an ASCII decimal (no sign, no
+'_').  The parse_* readers raise ParseError naming the offending line, and
+every emitted answer reads back.
 """
 
 from __future__ import annotations
@@ -41,29 +45,13 @@ class Instance:
     lists: dict[str, set[str]] | None  # when list lines are present
 
 
-def _tokens(text: str):
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
-
-
 def parse_instance(text: str) -> Instance:
-    p: int | None = None
+    (p,), records = _one_block(text, "hg <p>")
     vertices: dict[str, tuple[int, ...] | None] = {}
     lists: dict[str, set[str]] = {}
     edges: dict[str, frozenset[str]] = {}
-    for line_no, tok in _tokens(text):
+    for line_no, tok in records:
         kind = tok[0]
-        if kind == "hg":
-            if p is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(tok) != 2 or not tok[1].isdigit():
-                raise ParseError(line_no, "header must be 'hg <p>'")
-            p = int(tok[1])
-            continue
-        if p is None:
-            raise ParseError(line_no, "missing 'hg <p>' header")
         if kind == "v":
             if len(tok) < 2:
                 raise ParseError(line_no, "vertex line needs a name")
@@ -73,13 +61,7 @@ def parse_instance(text: str) -> Instance:
             vals = tok[2:]
             if len(vals) != p:
                 raise ParseError(line_no, f"expected {p} values for vertex {name!r}, got {len(vals)}")
-            try:
-                vec = tuple(int(x) for x in vals)
-            except ValueError:
-                raise ParseError(line_no, f"non-integer value for vertex {name!r}")
-            if any(x < 0 for x in vec):
-                raise ParseError(line_no, f"negative value for vertex {name!r}")
-            vertices[name] = vec if p else None
+            vertices[name] = _ints(line_no, vals) if p else None
         elif kind == "l":
             if p != 0:
                 raise ParseError(line_no, "list lines require a 'hg 0' header")
@@ -107,13 +89,10 @@ def parse_instance(text: str) -> Instance:
             edges[name] = mset
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
-    if p is None:
-        raise ParseError(0, "empty instance: missing 'hg <p>' header")
     if lists and set(lists) != set(vertices):
-        missing = sorted(set(vertices) - set(lists))
-        raise ParseError(0, f"vertices without lists: {missing}")
+        raise ParseError(0, f"vertices without lists: {sorted(set(vertices) - set(lists))}")
     H = Hypergraph(vertices, edges)
-    f = VectorFunction(p, {v: vec for v, vec in vertices.items()}) if p else None
+    f = VectorFunction(p, vertices) if p else None
     return Instance(H, p, f, lists or None)
 
 
@@ -191,18 +170,18 @@ def parse_certificates(text: str) -> list[HardPairCertificate]:
     for head, (n,), records in _split(text, "certificate <n>"):
         bsets, tags, fns = [None] * n, [None] * n, [{} for _ in range(n)]
         for line_no, (kind, *tok) in records:
-            if kind not in ("b", "t", "f") or len(tok) < 2 + (kind == "f") or not 1 <= _int(line_no, tok[0]) <= n:
+            if (kind not in ("b", "t", "f") or len(tok) < 2 + (kind == "f")
+                    or not 0 <= (i := _int(line_no, tok[0]) - 1) < n):
                 raise ParseError(line_no, f"expected a 'b <i>', 't <i>' or 'f <i> <vertex>' record, 1 <= i <= {n}")
-            i = int(tok[0]) - 1
             if kind == "b" and bsets[i] is None:
                 bsets[i] = frozenset(tok[1:])
             elif kind == "t" and tags[i] is None:
-                t, x = tok[1], [_int(line_no, w) for w in tok[2:]]
+                t, x = tok[1], _ints(line_no, tok[2:])
                 if not {"M": len(x) == 1, "K": len(x) >= 2, "C": len(x) == 3}.get(t):
                     raise ParseError(line_no, "block type must be M <j>, K <t> <counts> or C <t> <k> <l>")
                 tags[i] = MTag(*x) if t == "M" else CTag(*x) if t == "C" else KTag(x[0], tuple(x[1:]))
             elif kind == "f" and tok[1] not in fns[i]:
-                fns[i][tok[1]] = tuple(_int(line_no, w) for w in tok[2:])
+                fns[i][tok[1]] = _ints(line_no, tok[2:])
             else:
                 raise ParseError(line_no, f"repeated {kind!r} record")
         if None in bsets + tags:
@@ -211,27 +190,39 @@ def parse_certificates(text: str) -> list[HardPairCertificate]:
     return certs
 
 
-def _split(text: str, header: str) -> list[tuple[int, list[int], list[tuple[int, list[str]]]]]:
+def _split(text: str, header: str) -> list[tuple[int, tuple[int, ...], list[tuple[int, list[str]]]]]:
+    """(line, numbers, [(line, words) of its records]) for each header line;
+    '#' starts a comment."""
     word, *params = header.split()
     blocks: list = []
-    for line_no, tok in _tokens(text):
+    records = None
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
         if tok[0] == word:
             if len(tok) != 1 + len(params):
                 raise ParseError(line_no, f"header must be {header!r}")
-            blocks.append((line_no, [_int(line_no, x) for x in tok[1:]], []))
-        elif not blocks:
+            records = []
+            blocks.append((line_no, _ints(line_no, tok[1:]), records))
+        elif records is None:
             raise ParseError(line_no, f"missing {header!r} header")
         else:
-            blocks[-1][2].append((line_no, tok))
+            records.append((line_no, tok))
     if not blocks:
-        raise ParseError(0, f"not a {word} block")
+        raise ParseError(0, f"missing {header!r} header")
     return blocks
 
 
-def _assignment(text: str, header: str, tag: str, value) -> tuple:
+def _one_block(text: str, header: str) -> tuple[tuple[int, ...], list[tuple[int, list[str]]]]:
     (_, args, records), *more = _split(text, header)
     if more:
-        raise ParseError(more[0][0], f"second {header!r} header")
+        raise ParseError(more[0][0], "duplicate header")
+    return args, records
+
+
+def _assignment(text: str, header: str, tag: str, value) -> tuple:
+    args, records = _one_block(text, header)
     out = {}
     for line_no, tok in records:
         if tok[0] != tag or len(tok) != 3 or tok[1] in out:
@@ -240,7 +231,14 @@ def _assignment(text: str, header: str, tag: str, value) -> tuple:
     return (out, *args)
 
 
+def _ints(line_no: int, words: list[str]) -> tuple[int, ...]:
+    """ASCII decimals; split() yields no empty word, so checking the join checks each."""
+    joined = "".join(words)
+    if not (joined.isascii() and joined.isdigit()) and words:
+        bad = next(w for w in words if not (w.isascii() and w.isdigit()))
+        raise ParseError(line_no, f"expected a non-negative integer, got {bad!r}")
+    return tuple(map(int, words))
+
+
 def _int(line_no: int, word: str) -> int:
-    if not (word.isascii() and word.isdigit()):
-        raise ParseError(line_no, f"expected a non-negative integer, got {word!r}")
-    return int(word)
+    return _ints(line_no, (word,))[0]

@@ -216,8 +216,18 @@ class TestErrors:
         assert main(["partition", "/nonexistent/x.hg"]) == 1
 
     def test_missing_f_values(self, tmp_path, capsys):
-        text = emit_instance(dp.cycle(3))
-        assert main(["partition", write(tmp_path, "c.hg", text)]) == 1
+        # an instance that reads well but lacks what the command needs names no line
+        cases = [
+            ("partition", emit_instance(dp.cycle(3)),
+             "this command needs vertex f-values (header 'hg <p>' with p >= 1)"),
+            ("degenerate", "hg 2\nv a 1 1\n", "degenerate expects a single-coordinate instance (hg 1)"),
+            ("list-color", "hg 1\nv a 1\n", "this command needs list lines ('l <vertex> <colors...>')"),
+        ]
+        for command, text, message in cases:
+            assert main([command, write(tmp_path, "c.hg", text)]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: {message}\n"
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

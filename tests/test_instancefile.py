@@ -53,6 +53,12 @@ class TestParse:
             ("hg 1\nhg 1\n", 2, "duplicate header"),
             ("hg 1\nv a 1\nl a 1\n", 3, "hg 0"),
             ("hg 1\nv a 1\nq what\n", 3, "unknown record"),
+            # numbers are ASCII decimals, as in the answers
+            ("hg \u00b2\n", 1, "non-negative integer"),
+            ("hg 1\nv a 1_0\n", 2, "non-negative integer"),
+            ("hg 1\nv a +1\n", 2, "non-negative integer"),
+            ("hg 1\nv a \u0663\n", 2, "non-negative integer"),
+            ("", 0, "missing 'hg <p>' header"),
         ]
         for text, line, frag in cases:
             with pytest.raises(ParseError, match=frag) as exc:
