@@ -9,13 +9,16 @@ single vertices with f adding up at the glue point.
 
 Each base type is defined once: `block_function` gives the share of f
 that a block with a given tag carries (None when the tag's parameters are
-invalid), and `_has_shape` tests the block against tK_n or tC_n.
-Recognition (`is_hard`, `classify_block`), verification
-(`verify_certificate`) and construction (`make_hard`) all read these two.
-`is_hard` strips the blocks in reverse breadth-first order from block 0:
-the value of f on a block's vertices other than the one it was reached
-through pins down that block's tag and share, and the shares must add up
-exactly at the shared vertices.
+invalid), and `_has_shape` tests the block against tK_n or tC_n.  Both
+read a block as its vertex set and its edges' incidence sets, so no block
+is built as a `Hypergraph`.  Recognition (`is_hard`, `classify_block`),
+verification (`verify_certificate`) and construction (`make_hard`) all
+read these two.  `is_hard` recognises each block straight from the edge
+list that `structure.rooted_blocks` gives it, stripping the blocks in the
+order a depth-first search completes them: the value of f on a block's
+vertices other than the one it was entered through pins down that
+block's tag and share, and the shares must add up exactly at the shared
+vertices.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
@@ -26,18 +29,14 @@ gluing two vertices into a new one, and builds one `Hypergraph` at the end.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from operator import add, sub
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .hypergraph import (
-    Hypergraph,
-    complete_uniform,
-    cycle,
-    t_fold,
-    t_fold_complete_parameters,
-    t_fold_cycle_parameters,
-)
-from .structure import BlockTree, blocks, is_connected, separating_vertices
+from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
+from .structure import is_connected, rooted_blocks, separating_vertices
 
 
 class VectorFunction:
@@ -53,7 +52,7 @@ class VectorFunction:
             vec = tuple(vec)
             if len(vec) != p:
                 raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
-            if any(x < 0 for x in vec):
+            if min(vec) < 0:  # p >= 1
                 raise ValueError(f"vector at {v!r} has a negative entry")
             store[v] = vec
         self.p = p
@@ -154,19 +153,24 @@ class HardPairCertificate:
     block_functions: tuple[dict[str, tuple[int, ...]], ...]
 
 
-def block_function(B: Hypergraph, tag: BlockTypeTag, p: int) -> dict[str, tuple[int, ...]] | None:
-    """The share of f that block B carries under tag, or None when the tag's
-    parameters are invalid for p and the order of B.
+def block_function(
+    vertices: Collection[str], edges: Iterable[frozenset[str]], tag: BlockTypeTag, p: int
+) -> dict[str, tuple[int, ...]] | None:
+    """The share of f that the block with these vertices and these edges'
+    incidence sets carries under tag, or None when the tag's parameters are
+    invalid for p and the order of the block.
 
     M gives d_B(v) * e_j; K gives t * counts with sum(counts) = |B| - 1 and
     two non-zero counts; C gives t * (e_k + e_l) with |B| odd and >= 5.
-    t >= 1 is left to `_has_shape`, as t_fold_*_parameters never return less.
+    t >= 1 is left to `_has_shape`, as the shape tests never return less.
     """
-    n = B.order
+    n = len(vertices)
     if isinstance(tag, MTag):
         if not 1 <= tag.j <= p:
             return None
-        return {v: tuple(B.degree(v) if i == tag.j else 0 for i in range(1, p + 1)) for v in B.vertices}
+        degree = Counter(chain.from_iterable(edges))
+        before, after = (0,) * (tag.j - 1), (0,) * (p - tag.j)
+        return {v: before + (degree[v],) + after for v in vertices}
     if isinstance(tag, KTag):
         counts = tag.counts
         if len(counts) != p or min(counts) < 0 or sum(map(bool, counts)) < 2 or sum(counts) != n - 1:
@@ -178,42 +182,46 @@ def block_function(B: Hypergraph, tag: BlockTypeTag, p: int) -> dict[str, tuple[
         vec = tuple(tag.t if i in (tag.k, tag.l) else 0 for i in range(1, p + 1))
     else:
         return None
-    return dict.fromkeys(B.vertices, vec)
+    return dict.fromkeys(vertices, vec)
 
 
-def _has_shape(B: Hypergraph, tag: BlockTypeTag) -> bool:
-    """K needs B = tK_n and C needs B = tC_n; a monoblock may be any block."""
+def _has_shape(vertices: Collection[str], edges: Iterable[frozenset[str]], tag: BlockTypeTag) -> bool:
+    """K needs the block to be tK_n and C needs tC_n; a monoblock may be any block."""
     if isinstance(tag, KTag):
-        return t_fold_complete_parameters(B) == (tag.t, B.order)
+        return _complete_shape(vertices, edges) == (tag.t, len(vertices))
     if isinstance(tag, CTag):
-        return t_fold_cycle_parameters(B) == (tag.t, B.order)
+        return _cycle_shape(vertices, edges) == (tag.t, len(vertices))
     return True
 
 
 def _recognize(
-    B: Hypergraph, pinned: Mapping[str, tuple[int, ...]], p: int
+    vertices: Collection[str], edges: Sequence[frozenset[str]], pinned: Mapping[str, tuple[int, ...]], p: int
 ) -> tuple[BlockTypeTag, dict[str, tuple[int, ...]]] | None:
-    """The tag of block B and its share, agreeing with pinned where given.
+    """The tag of the block with these vertices and edges' incidence sets,
+    and its share, agreeing with pinned where given.
 
-    The smallest pinned vertex's vector g allows the tags: M when g has at
-    most one non-zero coordinate; otherwise K with t = |E(B)| / C(n, 2), and
-    C when g's two non-zero entries are equal.
+    Any pinned vertex's vector g allows the tags: M when g has at most one
+    non-zero coordinate; otherwise K with t = |E(B)| / C(n, 2), and C when
+    g's two non-zero entries are equal.  A share that matches every pinned
+    vertex has a tag that each pinned vector allows, so the choice of g
+    cannot change the answer.
     """
-    g = pinned[min(pinned)]
+    g = next(iter(pinned.values()))
     nz = [j for j, x in enumerate(g, 1) if x]
     if len(nz) <= 1:
         tags: list[BlockTypeTag] = [MTag(nz[0] if nz else 1)]
     else:
         tags = []
-        pairs = B.order * (B.order - 1) // 2
-        t = B.size // pairs if pairs and B.size % pairs == 0 else 0
+        n = len(vertices)
+        pairs = n * (n - 1) // 2
+        t = len(edges) // pairs if pairs and len(edges) % pairs == 0 else 0
         if t and all(x % t == 0 for x in g):
             tags.append(KTag(t, tuple(x // t for x in g)))
         if len(nz) == 2 and g[nz[0] - 1] == g[nz[1] - 1]:
             tags.append(CTag(g[nz[0] - 1], nz[0], nz[1]))
     for tag in tags:
-        share = block_function(B, tag, p)
-        if share is not None and all(share[v] == x for v, x in pinned.items()) and _has_shape(B, tag):
+        share = block_function(vertices, edges, tag, p)
+        if share is not None and pinned.items() <= share.items() and _has_shape(vertices, edges, tag):
             return tag, share
     return None
 
@@ -229,97 +237,65 @@ def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
     """Certificate of non-partitionability, or None.
 
-    Walks the block tree breadth-first from block 0, noting for each block
-    the vertex via which it was reached, and strips the blocks in reverse
-    walk order, so every block goes after the blocks hanging below it.  The
-    residual f at a block's vertices other than via pins the block's tag
-    and share; the share is subtracted from the residual at via, which must
-    stay non-negative.
+    Strips the blocks in the order a depth-first search from the smallest
+    vertex completes them (`structure.rooted_blocks`), so every block goes
+    after the blocks hanging below it, and a block holding the root goes
+    last.  The residual f at a block's vertices other than its entry pins
+    the block's tag and share, read straight from the block's vertex set
+    and edges; the share is subtracted from the residual at the entry,
+    which must stay non-negative.  The last block has every vertex pinned.
 
     The order cannot change the answer.  A leaf's pinned values force its
     tag and share: M needs at most one non-zero coordinate and K at least
     two, and tK_n != tC_n for n >= 5.  So a hard pair gives the same shares
     in every order, and any order that succeeds yields a valid certificate.
     """
-    bt = blocks(H)
+    parts, rank = rooted_blocks(H)
     if f.vertices != H.vertices:
         raise ValueError("vector function domain does not match the hypergraph")
-    if any(f.sum_at(v) != H.degree(v) for v in H.vertices):
+    if any(sum(vec) != H.degree(v) for v, vec in f.items()):
         return None
-    nb = len(bt.blocks)
-    blocks_of, block_edges = _block_parts(H, bt)
-    via: dict[int, str | None] = {0: None}
-    order = [0]
-    for i in order:  # grows as the walk reaches new blocks
-        for v in bt.blocks[i] - {via[i]}:  # the blocks at via[i] are reached already
-            for j in blocks_of[v]:
-                if j not in via:
-                    via[j] = v
-                    order.append(j)
-    residual = {v: f[v] for v in H.vertices}
-    tags: list[BlockTypeTag | None] = [None] * nb
-    fns: list[dict[str, tuple[int, ...]] | None] = [None] * nb
-    for i in reversed(order):
-        bset, c = bt.blocks[i], via[i]
-        found = _recognize(Hypergraph(bset, block_edges[i]), {v: residual[v] for v in bset if v != c}, f.p)
+    residual = dict(f.items())
+    last = len(parts) - 1
+    tags: list[BlockTypeTag | None] = [None] * len(parts)
+    fns: list[dict[str, tuple[int, ...]] | None] = [None] * len(parts)
+    for k, (c, bset, edges) in enumerate(parts):
+        if k == last:
+            c = None
+        found = _recognize(bset, edges, {v: residual[v] for v in bset if v != c}, f.p)
         if found is None:
             return None
-        tags[i], fns[i] = found
+        tags[k], fns[k] = found
         if c is not None:
-            left = tuple(a - b for a, b in zip(residual[c], fns[i][c]))
+            left = tuple(map(sub, residual[c], fns[k][c]))
             if min(left) < 0:  # early exit: no share could match c when it is pinned
                 return None
             residual[c] = left
-    return HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))  # type: ignore[arg-type]
-
-
-def _block_parts(
-    H: Hypergraph, bt: BlockTree
-) -> tuple[dict[str, list[int]], list[dict[str, frozenset[str]]]]:
-    """The blocks holding each vertex, and each block's edges.
-
-    Each edge lies in exactly one block, the one holding any two of its
-    vertices; it is looked up among the blocks of the member in fewer
-    blocks, so a member private to one block settles it at once.
-    """
-    blocks_of: dict[str, list[int]] = {v: [] for v in H.vertices}
-    for i, b in enumerate(bt.blocks):
-        for v in b:
-            blocks_of[v].append(i)
-    block_edges: list[dict[str, frozenset[str]]] = [{} for _ in bt.blocks]
-    for e in H.edge_ids:
-        m = H.incidence(e)
-        u, w, *_ = m
-        held, other = blocks_of[u], w
-        if len(blocks_of[w]) < len(held):
-            held, other = blocks_of[w], u
-        i = held[0] if len(held) == 1 else next(i for i in held if other in bt.blocks[i])
-        block_edges[i][e] = m
-    return blocks_of, block_edges
+    return HardPairCertificate(
+        tuple(parts[k][1] for k in rank), tuple(tags[k] for k in rank), tuple(fns[k] for k in rank)  # type: ignore[misc]
+    )
 
 
 def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertificate) -> bool:
     """Re-check every certificate invariant from scratch; False on any violation."""
     try:
-        bt = blocks(H)
+        parts, rank = rooted_blocks(H)
     except ValueError:
         return False
-    if cert.blocks != bt.blocks:
+    if cert.blocks != tuple(parts[k][1] for k in rank):
         return False
     if len(cert.tags) != len(cert.blocks) or len(cert.block_functions) != len(cert.blocks):
         return False
     if f.vertices != H.vertices:
         return False
-    blocks_of, block_edges = _block_parts(H, bt)
-    for bset, edges, tag, fB in zip(cert.blocks, block_edges, cert.tags, cert.block_functions):
-        B = Hypergraph(bset, edges)
-        if fB != block_function(B, tag, f.p) or not _has_shape(B, tag):
+    total = dict.fromkeys(H.vertices, (0,) * f.p)
+    for k, tag, fB in zip(rank, cert.tags, cert.block_functions):
+        _, bset, edges = parts[k]
+        if fB != block_function(bset, edges, tag, f.p) or not _has_shape(bset, edges, tag):
             return False
-    for v, held in blocks_of.items():
-        total = tuple(sum(cert.block_functions[i][v][k] for i in held) for k in range(f.p))
-        if total != f[v]:
-            return False
-    return True
+        for v, vec in fB.items():
+            total[v] = tuple(map(add, total[v], vec))
+    return all(total[v] == f[v] for v in H.vertices)
 
 
 # -- construction of hard pairs -----------------------------------------
@@ -367,7 +343,7 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
             continue
         try:
             B, tag = _base_block(node)
-            share = block_function(B, tag, p)
+            share = block_function(B.vertices, B.edges().values(), tag, p)
         except (TypeError, AttributeError) as exc:  # a parameter of the wrong type
             raise ValueError(f"malformed {node[0]} plan {node!r}: {exc}") from None
         if share is None:

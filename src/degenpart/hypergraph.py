@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 
 class Hypergraph:
@@ -276,37 +276,37 @@ def random_hypergraph(
 # -- shape detection ----------------------------------------------------
 
 
-def _pair_counts(H: Hypergraph) -> Counter[frozenset[str]] | None:
+def _pair_counts(edges: Iterable[frozenset[str]]) -> Counter[frozenset[str]] | None:
     """Number of edges on each incidence set, or None if some edge is not ordinary."""
-    counts = Counter(map(H.incidence, H.edge_ids))
-    return counts if all(len(m) == 2 for m in counts) else None
+    counts = Counter(edges)
+    return counts if set(map(len, counts)) <= {2} else None
 
 
-def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
-    """(t, n) if H = tK_n for some t >= 1, n >= 1; None otherwise.
+def _complete_shape(vertices: Collection[str], edges: Iterable[frozenset[str]]) -> tuple[int, int] | None:
+    """(t, n) if the vertices and the edges' incidence sets form tK_n; None otherwise.
 
     tK_n has C(n, 2) distinct pairs as incidence sets, each carrying t edges.
     """
-    n = H.order
-    counts = _pair_counts(H)
+    n = len(vertices)
+    counts = _pair_counts(edges)
     if n == 0 or counts is None or len(counts) != n * (n - 1) // 2:
         return None
     ts = set(counts.values()) or {1}  # K_1 has no pairs
     return (ts.pop(), n) if len(ts) == 1 else None
 
 
-def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
-    """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise.
+def _cycle_shape(vertices: Collection[str], edges: Iterable[frozenset[str]]) -> tuple[int, int] | None:
+    """(t, n) if the vertices and the edges' incidence sets form tC_n; None otherwise.
 
     tC_n has n distinct pairs as incidence sets, each carrying t edges, and
     every vertex in two of them; walking from pair to pair closes after n steps.
     """
-    n = H.order
-    counts = _pair_counts(H)
+    n = len(vertices)
+    counts = _pair_counts(edges)
     if n < 3 or counts is None or len(counts) != n:
         return None
     ts = set(counts.values())
-    nbrs: dict[str, list[str]] = {v: [] for v in H.vertices}
+    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
     for u, w in counts:
         nbrs[u].append(w)
         nbrs[w].append(u)
@@ -318,3 +318,13 @@ def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
         a, b = nbrs[v]
         prev, v, steps = v, b if a == prev else a, steps + 1
     return (ts.pop(), n) if steps == n else None
+
+
+def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
+    """(t, n) if H = tK_n for some t >= 1, n >= 1; None otherwise."""
+    return _complete_shape(H.vertices, H._incidence.values())
+
+
+def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
+    """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise."""
+    return _cycle_shape(H.vertices, H._incidence.values())

@@ -20,12 +20,16 @@ per block vertex.
 One splitter reads every kind of file: the header comes first, a record
 before it is an error, and every number is an ASCII decimal (no sign, no
 '_').  The parse_* readers raise ParseError naming the offending line, and
-every emitted answer reads back.
+every emitted answer reads back: the emit_* writers raise ValueError for a
+name that could not, one that is empty or holds whitespace or '#'.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 from .hardpair import CTag, HardPairCertificate, KTag, MTag, VectorFunction
 from .hypergraph import Hypergraph
@@ -83,14 +87,15 @@ def parse_instance(text: str) -> Instance:
             mset = frozenset(members)
             if len(mset) != len(members):
                 raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
-            unknown = [v for v in members if v not in vertices]
-            if unknown:
+            if not vertices.keys() >= mset:
+                unknown = [v for v in members if v not in vertices]
                 raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
             edges[name] = mset
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
-    if lists and set(lists) != set(vertices):
-        raise ParseError(0, f"vertices without lists: {sorted(set(vertices) - set(lists))}")
+    if lists and len(lists) != len(vertices):  # every listed vertex is known
+        line_no = next(line_no for line_no, tok in records if tok[0] == "v" and tok[1] not in lists)
+        raise ParseError(line_no, f"vertices without lists: {sorted(vertices.keys() - lists.keys())}")
     H = Hypergraph(vertices, edges)
     f = VectorFunction(p, vertices) if p else None
     return Instance(H, p, f, lists or None)
@@ -103,6 +108,7 @@ def emit_instance(
 ) -> str:
     if f is not None and lists is not None:
         raise ValueError("an instance carries either f-values or lists, not both")
+    _check_names(chain(H.vertices, H.edge_ids, *(lists or {}).values()))
     p = f.p if f is not None else 0
     out = [f"hg {p}"]
     for v in sorted(H.vertices):
@@ -122,6 +128,7 @@ def emit_instance(
 
 
 def emit_partition(P: dict[str, int], p: int) -> str:
+    _check_names(P)
     out = [f"partition {p}"]
     out += [f"a {v} {P[v]}" for v in sorted(P)]
     return "\n".join(out) + "\n"
@@ -132,6 +139,7 @@ def parse_partition(text: str) -> tuple[dict[str, int], int]:
 
 
 def emit_coloring(coloring: dict[str, object]) -> str:
+    _check_names(chain(coloring, map(str, coloring.values())))
     out = ["coloring"]
     out += [f"c {v} {coloring[v]}" for v in sorted(coloring)]
     return "\n".join(out) + "\n"
@@ -145,24 +153,42 @@ def _emit_tag(tag) -> str:
     if isinstance(tag, MTag):
         return f"M {tag.j}"
     if isinstance(tag, KTag):
-        return f"K {tag.t} " + " ".join(str(c) for c in tag.counts)
+        return f"K {tag.t} " + " ".join(map(str, tag.counts))
     if isinstance(tag, CTag):
         return f"C {tag.t} {tag.k} {tag.l}"
     raise ValueError(f"unknown tag {tag!r}")
 
 
 def emit_certificate(cert: HardPairCertificate) -> str:
+    _check_names(chain.from_iterable(cert.blocks))
     out = [f"certificate {len(cert.blocks)}"]
+    words: dict[tuple[int, ...], str] = {}  # each distinct vector written once
     for i, (bset, tag, fB) in enumerate(zip(cert.blocks, cert.tags, cert.block_functions), 1):
-        out.append(f"b {i} " + " ".join(sorted(bset)))
+        vs = sorted(bset)
+        out.append(f"b {i} " + " ".join(vs))
         out.append(f"t {i} " + _emit_tag(tag))
-        for v in sorted(bset):
-            out.append(f"f {i} {v} " + " ".join(str(x) for x in fB[v]))
+        for v in vs:
+            vec = fB[v]
+            if vec not in words:
+                words[vec] = " ".join(map(str, vec))
+            out.append(f"f {i} {v} {words[vec]}")
     return "\n".join(out) + "\n"
 
 
 def emit_certificates(certs: dict[frozenset[str], HardPairCertificate]) -> str:
     return "".join(emit_certificate(certs[c]) for c in sorted(certs, key=min))
+
+
+_UNREADABLE = re.compile(r"[\s#]")
+
+
+def _check_names(names: Iterable[str]) -> None:
+    """Raise ValueError unless every name reads back: non-empty, with no
+    whitespace (what split() splits at) and no '#'.  One scan of all names."""
+    names = list(names)
+    if not all(names) or _UNREADABLE.search("".join(names)):
+        bad = next(n for n in names if not n or _UNREADABLE.search(n))
+        raise ValueError(f"cannot write the name {bad!r}: names must be non-empty, without whitespace or '#'")
 
 
 def parse_certificates(text: str) -> list[HardPairCertificate]:
@@ -196,8 +222,10 @@ def _split(text: str, header: str) -> list[tuple[int, tuple[int, ...], list[tupl
     word, *params = header.split()
     blocks: list = []
     records = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        tok = raw.split("#", 1)[0].split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    for line_no, tok in enumerate(map(str.split, lines), 1):
         if not tok:
             continue
         if tok[0] == word:

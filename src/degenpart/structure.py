@@ -19,9 +19,10 @@ from .hypergraph import Hypergraph
 
 def components(H: Hypergraph) -> list[frozenset[str]]:
     """Vertex sets of the connected components, sorted by smallest vertex."""
+    incidence = H.edges()
     seen: set[str] = set()
     out: list[frozenset[str]] = []
-    for start in sorted(H.vertices):
+    for start in H.vertices:
         if start in seen:
             continue
         comp = {start}
@@ -29,12 +30,13 @@ def components(H: Hypergraph) -> list[frozenset[str]]:
         while stack:
             v = stack.pop()
             for e in H.edges_at(v):
-                for u in H.incidence(e):
+                for u in incidence[e]:
                     if u not in comp:
                         comp.add(u)
                         stack.append(u)
         seen |= comp
         out.append(frozenset(comp))
+    out.sort(key=min)
     return out
 
 
@@ -73,8 +75,7 @@ class BlockTree:
 
 def _skeleton_adjacency(H: Hypergraph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in H.vertices}
-    for e in H.edge_ids:
-        m = H.incidence(e)
+    for m in H.edges().values():
         for u in m:
             adj[u] |= m
     for v, nbrs in adj.items():
@@ -135,22 +136,46 @@ def _biconnected_vertex_sets(
     return comps
 
 
-def blocks(H: Hypergraph) -> BlockTree:
-    """Block decomposition of a connected non-empty hypergraph."""
+def _dfs_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str]]], list[int], dict[str, int]]:
+    """The blocks of a connected non-empty H as (entry, vertex set) in the
+    order a depth-first search from the smallest vertex completes them, their
+    indices in BlockTree order, and the discovery times."""
     if H.is_empty:
         raise ValueError("blocks: empty hypergraph")
     adj = _skeleton_adjacency(H)
     disc: dict[str, int] = {}
-    found = _biconnected_vertex_sets(adj, min(H.vertices), disc)
+    root = min(H.vertices)
+    found = _biconnected_vertex_sets(adj, root, disc) or [(root, H.vertices)]
     if len(disc) < H.order:
         raise ValueError("blocks: disconnected hypergraph (iterate components)")
-    if H.order == 1:
-        return BlockTree((H.vertices,), frozenset())
 
-    def order(entry_and_block: tuple[str, frozenset[str]]) -> tuple:
-        entry, b = entry_and_block
+    def order(k: int) -> tuple:
+        entry, b = found[k]
         m = min(b)
-        return (m, 0, min(adj[m] & b)) if m == entry else (m, 1)
+        return (m, 0, min(adj[m] & b, default=m)) if m == entry else (m, 1)
 
-    vsets = [b for _, b in sorted(found, key=order)]
+    return found, sorted(range(len(found)), key=order), disc
+
+
+def blocks(H: Hypergraph) -> BlockTree:
+    """Block decomposition of a connected non-empty hypergraph."""
+    found, rank, _ = _dfs_blocks(H)
+    vsets = [found[k][1] for k in rank]
     return BlockTree(tuple(vsets), _in_two_or_more(vsets))
+
+
+def rooted_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str], list[frozenset[str]]]], list[int]]:
+    """(entry, vertex set, edges' incidence sets) of each block of a connected
+    non-empty H, in the order a depth-first search from the smallest vertex
+    completes them (each block after the blocks hanging below it, a block
+    holding that root last), and the blocks' indices in BlockTree order.
+
+    An edge lies in the block of its last discovered member w: the last
+    completed block holding w, where w is not the entry.
+    """
+    found, rank, disc = _dfs_blocks(H)
+    owner = {v: k for k, (_, b) in enumerate(found) for v in b}
+    edges: list[list[frozenset[str]]] = [[] for _ in found]
+    for m in H.edges().values():
+        edges[owner[max(m, key=disc.__getitem__)]].append(m)
+    return [(c, b, es) for (c, b), es in zip(found, edges)], rank

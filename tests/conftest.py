@@ -171,7 +171,16 @@ def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCert
     if any(f.sum_at(v) != H.degree(v) for v in H.vertices):
         return None
     nb = len(bt.blocks)
-    blocks_of, block_edges = hardpair._block_parts(H, bt)
+    blocks_of: dict[str, list[int]] = {v: [] for v in H.vertices}
+    for i, b in enumerate(bt.blocks):
+        for v in b:
+            blocks_of[v].append(i)
+    # each edge lies in the one block holding all its members
+    block_edges: list[list[frozenset[str]]] = [[] for _ in bt.blocks]
+    for e in H.edge_ids:
+        m = H.incidence(e)
+        (i,) = [i for i in blocks_of[min(m)] if m <= bt.blocks[i]]
+        block_edges[i].append(m)
     n_shared = [sum(1 for v in b if len(blocks_of[v]) >= 2) for b in bt.blocks]
     leaves = [i for i in range(nb) if n_shared[i] <= 1]
     residual = {v: f[v] for v in H.vertices}
@@ -181,7 +190,7 @@ def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCert
         leaf = heapq.heappop(leaves)
         bset = bt.blocks[leaf]
         pinned = {v: residual[v] for v in bset if len(blocks_of[v]) == 1}
-        found = hardpair._recognize(dp.Hypergraph(bset, block_edges[leaf]), pinned, f.p)
+        found = hardpair._recognize(bset, block_edges[leaf], pinned, f.p)
         if found is None:
             return None
         tags[leaf], fns[leaf] = found

@@ -390,6 +390,29 @@ class TestIsHardMatchesReference:
         assert compared >= 2000
         assert 800 <= hard < compared
 
+    @pytest.mark.parametrize("nblocks", [80, 250, 1000])
+    def test_balanced_plans_and_one_unit_moves(self, nblocks):
+        # the benchmark's shape of pair, past the random plans' 12 blocks
+        rng = random.Random(nblocks)
+        hard = 0
+        for p in range(2, 7):
+            bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(nblocks)]
+            H, f = dp.make_hard(balanced_plan(bases), p, seed=rng.randrange(2**32))
+            vs = sorted(H.vertices)
+            pairs = [f]
+            while len(pairs) < 3:
+                v = rng.choice(vs)
+                i, j = rng.sample(range(p), 2)
+                if f[v][i]:
+                    pairs.append(f.with_value(v, tuple(x - (k == i) + (k == j) for k, x in enumerate(f[v]))))
+            for g in pairs:
+                cert = dp.is_hard(H, g)
+                assert cert == reference_is_hard(H, g)
+                if cert is not None:
+                    hard += 1
+                    assert len(cert.blocks) == nblocks and dp.verify_certificate(H, g, cert)
+        assert hard >= 5
+
 
 class TestIsHardCallCounts:
     def test_shape_tests_need_no_connectivity_or_pair_scans(self, monkeypatch):

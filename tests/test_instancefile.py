@@ -59,6 +59,8 @@ class TestParse:
             ("hg 1\nv a +1\n", 2, "non-negative integer"),
             ("hg 1\nv a \u0663\n", 2, "non-negative integer"),
             ("", 0, "missing 'hg <p>' header"),
+            # the first vertex record whose vertex has no list
+            ("hg 0\nv a\nv b\nl a 1\ne e1 a b\n", 3, "vertices without lists: \\['b'\\]"),
         ]
         for text, line, frag in cases:
             with pytest.raises(ParseError, match=frag) as exc:
@@ -103,6 +105,14 @@ class TestRoundTrip:
             emit_instance(H, VectorFunction.constant(H.vertices, (1,)), {v: {"1"} for v in H.vertices})
 
 
+def _renamed_c5(name: str):
+    """C5 with (1, 1) everywhere and vertex v1 renamed."""
+    H = dp.cycle(5)
+    ren = {v: name if v == "v1" else v for v in H.vertices}
+    H = Hypergraph(ren.values(), {e: [ren[v] for v in m] for e, m in H.edges().items()})
+    return H, VectorFunction.constant(H.vertices, (1, 1))
+
+
 class TestResults:
     def test_partition_round_trip(self):
         P = {"a": 1, "b": 2, "c": 1}
@@ -133,6 +143,24 @@ class TestResults:
         assert len(back) == 2
         for comp, cert in zip(sorted(res.certificates, key=min), back):
             assert dp.verify_certificate(H.induced(comp), f.restrict(comp), cert)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda: emit_instance(Hypergraph(["a#b", "c d", "e"], {"x": ["a#b", "e"], "y": ["c d", "e"]})),
+            lambda: emit_partition({"a#b": 1, "e": 2}, 2),
+            lambda: emit_partition({"": 1, "e": 2}, 2),
+            lambda: emit_instance(dp.path(2), lists={"v1": {"red", "dark\tblue"}, "v2": {"red"}}),
+            lambda: emit_instance(Hypergraph(["a", "b"], {"e 1": ["a", "b"]})),
+            lambda: emit_coloring({"a": "x#", "b": "y"}),
+            lambda: emit_certificate(dp.is_hard(*_renamed_c5("v\u00a01"))),
+        ],
+        ids=["hash-and-space", "hash", "empty", "color-tab", "edge-space", "color-hash", "nbsp"],
+    )
+    def test_unreadable_names_are_refused(self, write):
+        # each of these names would not read back as one word
+        with pytest.raises(ValueError, match="cannot write the name"):
+            write()
 
     def test_not_a_certificate(self):
         with pytest.raises(ParseError):

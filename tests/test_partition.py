@@ -200,14 +200,15 @@ class TestComplexity:
 
 
 class TestConstructionCounts:
-    def test_connected_hard_pair_builds_one_hypergraph_per_block(self, monkeypatch):
-        # a connected instance is not copied: is_hard builds its blocks and nothing else
+    def test_connected_hard_pair_builds_no_hypergraph(self, monkeypatch):
+        # a connected instance is not copied, and is_hard reads each of its
+        # 16 blocks from the block's edge list without building it
         H, f = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
         nblocks = len(dp.blocks(H).blocks)
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, Hypergraph, "__init__")
         res = dp.solve(H, f)
-        assert (nblocks, counts["__init__"]) == (16, 16)
+        assert (nblocks, counts["__init__"]) == (16, 0)
         assert list(res.certificates) == [H.vertices]
 
     def test_verify_partition_peels_once(self, monkeypatch):
@@ -222,15 +223,15 @@ class TestConstructionCounts:
         assert dp.verify_partition(H, f, P)
         assert counts == {"is_strictly_degenerate": 1, "__init__": 1}
 
-    def test_tight_triangle_builds_two_hypergraphs(self, monkeypatch):
-        # is_hard's one block and verify_partition's inside edges; the first
-        # tight step shrinks to the whole vertex set without a copy
+    def test_tight_triangle_builds_one_hypergraph(self, monkeypatch):
+        # verify_partition's inside edges only: is_hard builds no block, and
+        # the first tight step shrinks to the whole vertex set without a copy
         H = Hypergraph("abc", {"e1": "ab", "e2": "bc", "e3": "ca"})
         f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, Hypergraph, "__init__")
         assert dp.solve(H, f).partitionable
-        assert counts["__init__"] == 2
+        assert counts["__init__"] == 1
 
     def test_one_certificate_per_component(self):
         H1, f1 = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
