@@ -14,10 +14,10 @@ from typing import Mapping
 
 from .degeneracy import col, is_strictly_degenerate
 from .hardpair import HardPairCertificate, VectorFunction
-from .hypergraph import Hypergraph, t_fold_complete_parameters, t_fold_cycle_parameters
+from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, t_fold_complete_parameters, t_fold_cycle_parameters
 from .oracle import brute_partitionable
 from .partition import enforce_degree_bounds, solve
-from .structure import blocks, components
+from .structure import components, rooted_blocks
 
 Color = str | int
 
@@ -204,22 +204,14 @@ def chi_and_chi_list(H: Hypergraph) -> tuple[int, int]:
     raise AssertionError("unreachable: H is col(H)-choosable")
 
 
-def _block_forces_bad_lists(B: Hypergraph) -> bool:
-    """Blocks from which unbeatable degree-sized lists can be built:
-    a simple complete graph, a simple odd cycle, or a single edge."""
-    if B.size == 1:
-        return True
-    n = B.order
-    if t_fold_complete_parameters(B) == (1, n):
-        return True
-    return n % 2 == 1 and t_fold_cycle_parameters(B) == (1, n)
-
-
 def _degree_choosable(B: Hypergraph) -> bool:
     """Connected B with lists of size exactly d_B(v): colorable for every
-    such list assignment iff some block breaks the bad-list construction."""
-    bt = blocks(B)
-    return not all(_block_forces_bad_lists(B.induced(bs)) for bs in bt.blocks)
+    such list assignment iff some block breaks the bad-list construction,
+    which needs a single edge, a simple complete graph or a simple odd cycle."""
+    return not all(
+        len(es) == 1 or _complete_shape(b, es) == (1, len(b)) or len(b) % 2 == 1 and _cycle_shape(b, es) == (1, len(b))
+        for _, b, es in rooted_blocks(B)[0]
+    )
 
 
 def is_k_choosable(H: Hypergraph, k: int) -> bool:

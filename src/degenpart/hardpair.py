@@ -36,7 +36,7 @@ from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
-from .structure import is_connected, rooted_blocks, separating_vertices
+from .structure import rooted_blocks
 
 
 class VectorFunction:
@@ -228,7 +228,7 @@ def _recognize(
 
 def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
     """The base type of one block: is_hard's single tag, or None if no match."""
-    if not is_connected(B) or separating_vertices(B):
+    if len(rooted_blocks(B)[0]) != 1:
         raise ValueError("classify_block expects a connected block without separating vertices")
     cert = is_hard(B, fB)
     return cert.tags[0] if cert else None
@@ -367,7 +367,7 @@ def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:
     kind = plan[0]
     if kind == "M":
         _, B, j = plan
-        if not is_connected(B) or separating_vertices(B):
+        if len(rooted_blocks(B)[0]) != 1:
             raise ValueError("M plan block must be connected without separating vertices")
         return B, MTag(j)
     if kind == "K":

@@ -76,13 +76,7 @@ def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hyper
 def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     """Partition H into strictly f_i-degenerate classes, or certify failure."""
     _check_domain(H, f)
-    slack = set()
-    for v in sorted(H.vertices):
-        total, d = f.sum_at(v), H.degree(v)
-        if total < d:
-            raise ValueError(f"degree hypothesis violated at {v!r}: sum f_i = {total} < degree {d}")
-        if total > d:
-            slack.add(v)
+    slack = _slack(H, f)
     assignment: dict[str, int] = {}
     certs: dict[frozenset[str], HardPairCertificate] = {}
     for comp in components(H):
@@ -148,13 +142,15 @@ class _Residual:
         """Place every unplaced vertex, given s with residual sum f > degree."""
         H, live, alive = self.H, self.live, self.alive
         dist = {s: 0}
+        read: set[str] = set()  # an edge read once has given all its members a distance
         frontier = [s]
         while frontier:
             nxt = []
             for v in frontier:
                 for e in H.edges_at(v):
-                    if live[e] < 2:
+                    if live[e] < 2 or e in read:
                         continue
+                    read.add(e)
                     for u in H.incidence(e):
                         if u in alive and u not in dist:
                             dist[u] = dist[v] + 1
@@ -217,6 +213,15 @@ def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
         raise ValueError("vector function domain does not match the hypergraph")
 
 
+def _slack(H: Hypergraph, f: VectorFunction) -> set[str]:
+    """The vertices with sum f > degree; ValueError naming the smallest vertex with sum f < degree."""
+    excess = {v: sum(vec) - H.degree(v) for v, vec in f.items()}
+    if min(excess.values(), default=0) < 0:
+        v = min(v for v, x in excess.items() if x < 0)
+        raise ValueError(f"degree hypothesis violated at {v!r}: sum f_i = {f.sum_at(v)} < degree {H.degree(v)}")
+    return {v for v, x in excess.items() if x}
+
+
 def _inside_edges(H: Hypergraph, P: dict[str, int]) -> dict[str, frozenset[str]]:
     """The edges whose members all lie in one class."""
     return {e: m for e, m in H.edges().items() if len({P[v] for v in m}) == 1}
@@ -238,9 +243,7 @@ def enforce_degree_bounds(
     """
     if not verify_partition(H, f, P):
         raise ValueError("enforce_degree_bounds expects a valid partition")
-    for v in sorted(H.vertices):
-        if f.sum_at(v) < H.degree(v):
-            raise ValueError(f"degree hypothesis violated at {v!r}")
+    _slack(H, f)
     P = dict(P)
 
     def row(v: str) -> list[int]:

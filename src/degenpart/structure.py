@@ -1,13 +1,14 @@
 """Connectivity, separating vertices, blocks and the block tree.
 
-Blocks are computed on the skeleton graph (each incidence set replaced by a
-clique): a clique is 2-connected, so every hyperedge lands in exactly one
-biconnected component of the skeleton, and the block vertex sets of the
-hypergraph coincide with the skeleton's.  Shrinking v away leaves the
-skeleton minus v, so the separating vertices are the skeleton's cut
-vertices: the vertices lying in two or more skeleton blocks.  One
-Hopcroft-Tarjan DFS per component finds the blocks, and with them the
-separating vertices, in time linear in the size of the skeleton.
+Blocks are computed on the skeleton graph, in which each incidence set
+becomes a ring: a cycle through its members in sorted order.  A cycle is
+2-connected, so every hyperedge lands in exactly one biconnected component
+of the skeleton, and the block vertex sets of the hypergraph coincide with
+the skeleton's.  Shrinking v away cuts each ring through v to a path, so
+the separating vertices are the skeleton's cut vertices: the vertices
+lying in two or more skeleton blocks.  The skeleton has at most 2 * sum |e|
+entries, and one Hopcroft-Tarjan DFS per component finds the blocks, and
+with them the separating vertices, in time linear in sum |e|.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def components(H: Hypergraph) -> list[frozenset[str]]:
         while stack:
             v = stack.pop()
             for e in H.edges_at(v):
-                for u in incidence[e]:
+                for u in incidence.pop(e, ()):
                     if u not in comp:
                         comp.add(u)
                         stack.append(u)
@@ -66,7 +67,9 @@ class BlockTree:
     (seen from the smallest vertex of H) come first, by m's smallest
     skeleton neighbour in each, and the one through which m is reached
     comes last: the order of a depth-first search from the smallest vertex
-    that visits neighbours in sorted order.
+    that visits neighbours in sorted order.  m is the smallest member of
+    each edge of b at m, so m's ring neighbours in it include the second
+    smallest: m's smallest skeleton neighbour in b is that of a clique.
     """
 
     blocks: tuple[frozenset[str], ...]
@@ -76,10 +79,12 @@ class BlockTree:
 def _skeleton_adjacency(H: Hypergraph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in H.vertices}
     for m in H.edges().values():
-        for u in m:
-            adj[u] |= m
-    for v, nbrs in adj.items():
-        nbrs.discard(v)
+        ring = sorted(m)
+        prev = ring[-1]
+        for u in ring:
+            adj[prev].add(u)
+            adj[u].add(prev)
+            prev = u
     return adj
 
 

@@ -76,6 +76,9 @@ class TestClassifyBlock:
         P = dp.path(3)
         with pytest.raises(ValueError):
             dp.classify_block(P, VectorFunction.constant(P.vertices, (1, 1)))
+        D = Hypergraph("abcd", {"x": "ab", "y": "cd"})
+        with pytest.raises(ValueError):
+            dp.classify_block(D, VectorFunction.constant(D.vertices, (1, 0)))
 
     def test_zero_vector_single_vertex(self):
         B = Hypergraph("a")
@@ -307,6 +310,8 @@ class TestMakeHardRejectsInvalidPlans:
             (("K", 1, 5), 2),  # counts not a sequence
             (("C", "1", 5, 1, 2), 2),  # t not an integer
             (("M", "abc", 1), 2),  # M block not a hypergraph
+            (("M", Hypergraph(()), 1), 2),  # empty M block
+            (("M", Hypergraph("abcd", {"x": "ab", "y": "cd"}), 1), 2),  # disconnected M block
         ],
     )
     def test_raises(self, plan, p):

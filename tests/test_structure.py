@@ -7,7 +7,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
-from degenpart.structure import blocks
+from degenpart.structure import _skeleton_adjacency, blocks, rooted_blocks
 
 
 class TestComponents:
@@ -212,8 +212,9 @@ def sorted_dfs_blocks(H):
 
 
 def _block_order_corpus():
-    """Seeded connected multihypergraphs and hard pairs, many of them with
-    several blocks sharing their smallest vertex."""
+    """Seeded connected multihypergraphs, some with edges of up to eight
+    members, and hard pairs, many of them with several blocks sharing their
+    smallest vertex."""
     for seed in range(150):
         rng = random.Random(seed)
         n = rng.randint(2, 16)
@@ -223,6 +224,14 @@ def _block_order_corpus():
         )
     for seed in range(40):
         yield dp.make_hard(dp.random_hard_plan(seed, max_blocks=40, p=3), 3, seed=seed)[0]
+    # a ring and a clique on an edge differ from four members on
+    for seed in range(150, 210):
+        rng = random.Random(seed)
+        n = rng.randint(5, 16)
+        yield dp.random_hypergraph(
+            n, rng.randint(n // 4, n // 2), max_arity=rng.randint(5, 8), max_mult=2,
+            seed=seed, connected=True,
+        )
 
 
 class TestBlockOrder:
@@ -255,4 +264,46 @@ class TestBlockOrder:
         ]
         assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
-        assert runs[0].stdout.count(b"\n") == 190
+        assert runs[0].stdout.count(b"\n") == 250
+
+
+class TestWideEdges:
+    """One edge on all n vertices and one on half of them plus the last:
+    each edge is a ring in the skeleton, not a clique."""
+
+    n = 4000
+
+    @pytest.fixture(scope="class")
+    def H(self):
+        vs = [f"v{i}" for i in range(1, self.n + 1)]
+        return Hypergraph(vs, {"a": vs, "b": vs[: self.n // 2] + vs[-1:]})
+
+    def test_skeleton_is_linear(self, H):
+        entries = sum(map(len, _skeleton_adjacency(H).values()))
+        assert entries <= 2 * sum(map(len, H.edges().values()))
+
+    def test_one_block(self, H):
+        bt = blocks(H)
+        assert bt.blocks == (H.vertices,) and not bt.cut_vertices
+        assert not dp.separating_vertices(H)
+        assert dp.components(H) == [H.vertices]
+        parts, rank = rooted_blocks(H)
+        assert rank == [0]
+        ((entry, bset, edges),) = parts
+        assert entry == "v1" and bset == H.vertices
+        assert sorted(edges, key=len) == [H.incidence("b"), H.incidence("a")]
+
+    def test_monoblock_certified(self, H):
+        f = dp.VectorFunction.from_degrees(H, 1, 2)
+        res = dp.solve(H, f)
+        (cert,) = res.certificates.values()
+        assert dp.verify_certificate(H, f, cert)
+
+    def test_raised_monoblock_partitions_and_colours(self, H):
+        f = dp.VectorFunction.from_degrees(H, 1, 2)
+        f = f.with_value("v1", (f["v1"][0], 1))
+        res = dp.solve(H, f)
+        assert dp.verify_partition(H, f, res.partition)
+        L = {v: set(range(1, H.degree(v) + 1)) for v in H.vertices}
+        L["v1"].add(3)
+        assert dp.is_proper(H, dp.list_color(H, L).coloring)
