@@ -3,12 +3,16 @@
 Exit codes: 0 when a partition or coloring was found or a property
 verified; 2 when the answer is a non-partitionability certificate (or a
 check found disagreements); 1 for usage, parse and argument errors, and
-for any internal error, which is reported on one line.
+for any internal error, which is reported on one line; 141 (the shell's
+status for a writer killed by SIGPIPE) when stdout's reader closed the
+pipe before the answer was written, with nothing on stderr, so
+`degenpart blocks big.hg | head -n 1` ends quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -259,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout's reader is gone
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -267,6 +274,8 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -276,7 +285,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    if code == BROKEN_PIPE:
+        # what is still buffered goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

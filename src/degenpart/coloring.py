@@ -209,7 +209,7 @@ def _degree_choosable(B: Hypergraph) -> bool:
     such list assignment iff some block breaks the bad-list construction,
     which needs a single edge, a simple complete graph or a simple odd cycle."""
     return not all(
-        len(es) == 1 or _complete_shape(b, es) == (1, len(b)) or len(b) % 2 == 1 and _cycle_shape(b, es) == (1, len(b))
+        sum(es.values()) == 1 or _complete_shape(b, es) == (1, len(b)) or len(b) % 2 == 1 and _cycle_shape(b, es) == (1, len(b))
         for _, b, es in rooted_blocks(B)[0]
     )
 

@@ -10,15 +10,16 @@ single vertices with f adding up at the glue point.
 Each base type is defined once: `block_function` gives the share of f
 that a block with a given tag carries (None when the tag's parameters are
 invalid), and `_has_shape` tests the block against tK_n or tC_n.  Both
-read a block as its vertex set and its edges' incidence sets, so no block
-is built as a `Hypergraph`.  Recognition (`is_hard`, `classify_block`),
-verification (`verify_certificate`) and construction (`make_hard`) all
-read these two.  `is_hard` recognises each block straight from the edge
-list that `structure.rooted_blocks` gives it, stripping the blocks in the
-order a depth-first search completes them: the value of f on a block's
-vertices other than the one it was entered through pins down that
-block's tag and share, and the shares must add up exactly at the shared
-vertices.
+read a block as its vertex set and its edge multiset, each distinct
+incidence set mapped to its number of parallel edges, so no block is
+built as a `Hypergraph` and a t-fold edge is read once, not t times.
+Recognition (`is_hard`, `classify_block`), verification
+(`verify_certificate`) and construction (`make_hard`) all read these two.
+`is_hard` recognises each block straight from the edge multiset that
+`structure.rooted_blocks` gives it, stripping the blocks in the order a
+depth-first search completes them: the value of f on a block's vertices
+other than the one it was entered through pins down that block's tag and
+share, and the shares must add up exactly at the shared vertices.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -154,10 +154,10 @@ class HardPairCertificate:
 
 
 def block_function(
-    vertices: Collection[str], edges: Iterable[frozenset[str]], tag: BlockTypeTag, p: int
+    vertices: Collection[str], edges: Mapping[frozenset[str], int], tag: BlockTypeTag, p: int
 ) -> dict[str, tuple[int, ...]] | None:
-    """The share of f that the block with these vertices and these edges'
-    incidence sets carries under tag, or None when the tag's parameters are
+    """The share of f that the block with these vertices and this edge
+    multiset carries under tag, or None when the tag's parameters are
     invalid for p and the order of the block.
 
     M gives d_B(v) * e_j; K gives t * counts with sum(counts) = |B| - 1 and
@@ -168,9 +168,12 @@ def block_function(
     if isinstance(tag, MTag):
         if not 1 <= tag.j <= p:
             return None
-        degree = Counter(chain.from_iterable(edges))
+        degree = dict.fromkeys(vertices, 0)
+        for m, t in edges.items():
+            for v in m:
+                degree[v] += t
         before, after = (0,) * (tag.j - 1), (0,) * (p - tag.j)
-        return {v: before + (degree[v],) + after for v in vertices}
+        return {v: before + (d,) + after for v, d in degree.items()}
     if isinstance(tag, KTag):
         counts = tag.counts
         if len(counts) != p or min(counts) < 0 or sum(map(bool, counts)) < 2 or sum(counts) != n - 1:
@@ -185,7 +188,7 @@ def block_function(
     return dict.fromkeys(vertices, vec)
 
 
-def _has_shape(vertices: Collection[str], edges: Iterable[frozenset[str]], tag: BlockTypeTag) -> bool:
+def _has_shape(vertices: Collection[str], edges: Mapping[frozenset[str], int], tag: BlockTypeTag) -> bool:
     """K needs the block to be tK_n and C needs tC_n; a monoblock may be any block."""
     if isinstance(tag, KTag):
         return _complete_shape(vertices, edges) == (tag.t, len(vertices))
@@ -195,33 +198,38 @@ def _has_shape(vertices: Collection[str], edges: Iterable[frozenset[str]], tag: 
 
 
 def _recognize(
-    vertices: Collection[str], edges: Sequence[frozenset[str]], pinned: Mapping[str, tuple[int, ...]], p: int
+    vertices: Collection[str], edges: Mapping[frozenset[str], int], pinned: Mapping[str, tuple[int, ...]], p: int
 ) -> tuple[BlockTypeTag, dict[str, tuple[int, ...]]] | None:
-    """The tag of the block with these vertices and edges' incidence sets,
-    and its share, agreeing with pinned where given.
+    """The tag of the block with these vertices and this edge multiset, and
+    its share, agreeing with pinned where given.
 
     Any pinned vertex's vector g allows the tags: M when g has at most one
-    non-zero coordinate; otherwise K with t = |E(B)| / C(n, 2), and C when
-    g's two non-zero entries are equal.  A share that matches every pinned
-    vertex has a tag that each pinned vector allows, so the choice of g
-    cannot change the answer.
+    non-zero coordinate; otherwise K, with t read off the block's shape,
+    and C when g's two non-zero entries are equal.  A share that matches
+    every pinned vertex has a tag that each pinned vector allows, so the
+    choice of g cannot change the answer.  K and C shares are constant, so
+    with two non-zero coordinates every pinned vector must equal g, and the
+    share, equal to g by construction of the tag, then matches them all.
     """
     g = next(iter(pinned.values()))
     nz = [j for j, x in enumerate(g, 1) if x]
     if len(nz) <= 1:
-        tags: list[BlockTypeTag] = [MTag(nz[0] if nz else 1)]
-    else:
-        tags = []
-        n = len(vertices)
-        pairs = n * (n - 1) // 2
-        t = len(edges) // pairs if pairs and len(edges) % pairs == 0 else 0
-        if t and all(x % t == 0 for x in g):
-            tags.append(KTag(t, tuple(x // t for x in g)))
-        if len(nz) == 2 and g[nz[0] - 1] == g[nz[1] - 1]:
-            tags.append(CTag(g[nz[0] - 1], nz[0], nz[1]))
-    for tag in tags:
+        tag: BlockTypeTag = MTag(nz[0] if nz else 1)
         share = block_function(vertices, edges, tag, p)
-        if share is not None and pinned.items() <= share.items() and _has_shape(vertices, edges, tag):
+        return (tag, share) if share is not None and pinned.items() <= share.items() else None
+    if any(vec != g for vec in pinned.values()):
+        return None
+    shape = _complete_shape(vertices, edges)
+    if shape is not None and all(x % shape[0] == 0 for x in g):
+        tag = KTag(shape[0], tuple(x // shape[0] for x in g))
+        share = block_function(vertices, edges, tag, p)
+        if share is not None:
+            return tag, share
+    t = g[nz[0] - 1]
+    if len(nz) == 2 and g[nz[1] - 1] == t and _cycle_shape(vertices, edges) == (t, len(vertices)):
+        tag = CTag(t, nz[0], nz[1])
+        share = block_function(vertices, edges, tag, p)
+        if share is not None:
             return tag, share
     return None
 
@@ -343,7 +351,7 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
             continue
         try:
             B, tag = _base_block(node)
-            share = block_function(B.vertices, B.edges().values(), tag, p)
+            share = block_function(B.vertices, Counter(B.edges().values()), tag, p)
         except (TypeError, AttributeError) as exc:  # a parameter of the wrong type
             raise ValueError(f"malformed {node[0]} plan {node!r}: {exc}") from None
         if share is None:

@@ -93,13 +93,17 @@ class Hypergraph:
     # -- degrees and multiplicities -------------------------------------
 
     def edges_at(self, v: str) -> tuple[str, ...]:
-        if v not in self._vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-        return self._at[v]
+        try:
+            return self._at[v]
+        except KeyError:
+            raise ValueError(f"unknown vertex {v!r}") from None
 
     def degree(self, v: str) -> int:
         """Number of edges incident to v, parallel edges counted separately."""
-        return len(self.edges_at(v))
+        try:
+            return len(self._at[v])
+        except KeyError:
+            raise ValueError(f"unknown vertex {v!r}") from None
 
     def max_degree(self) -> int:
         return max((len(es) for es in self._at.values()), default=0)
@@ -274,40 +278,35 @@ def random_hypergraph(
 
 
 # -- shape detection ----------------------------------------------------
+#
+# Both shape tests read a block as its vertex set and its edge multiset:
+# each distinct incidence set mapped to the number of edges on it.
 
 
-def _pair_counts(edges: Iterable[frozenset[str]]) -> Counter[frozenset[str]] | None:
-    """Number of edges on each incidence set, or None if some edge is not ordinary."""
-    counts = Counter(edges)
-    return counts if set(map(len, counts)) <= {2} else None
-
-
-def _complete_shape(vertices: Collection[str], edges: Iterable[frozenset[str]]) -> tuple[int, int] | None:
-    """(t, n) if the vertices and the edges' incidence sets form tK_n; None otherwise.
+def _complete_shape(vertices: Collection[str], edges: Mapping[frozenset[str], int]) -> tuple[int, int] | None:
+    """(t, n) if the vertices and the edge multiset form tK_n; None otherwise.
 
     tK_n has C(n, 2) distinct pairs as incidence sets, each carrying t edges.
     """
     n = len(vertices)
-    counts = _pair_counts(edges)
-    if n == 0 or counts is None or len(counts) != n * (n - 1) // 2:
+    if n == 0 or len(edges) != n * (n - 1) // 2 or any(len(m) != 2 for m in edges):
         return None
-    ts = set(counts.values()) or {1}  # K_1 has no pairs
+    ts = set(edges.values()) or {1}  # K_1 has no pairs
     return (ts.pop(), n) if len(ts) == 1 else None
 
 
-def _cycle_shape(vertices: Collection[str], edges: Iterable[frozenset[str]]) -> tuple[int, int] | None:
-    """(t, n) if the vertices and the edges' incidence sets form tC_n; None otherwise.
+def _cycle_shape(vertices: Collection[str], edges: Mapping[frozenset[str], int]) -> tuple[int, int] | None:
+    """(t, n) if the vertices and the edge multiset form tC_n; None otherwise.
 
     tC_n has n distinct pairs as incidence sets, each carrying t edges, and
     every vertex in two of them; walking from pair to pair closes after n steps.
     """
     n = len(vertices)
-    counts = _pair_counts(edges)
-    if n < 3 or counts is None or len(counts) != n:
+    if n < 3 or len(edges) != n or any(len(m) != 2 for m in edges):
         return None
-    ts = set(counts.values())
+    ts = set(edges.values())
     nbrs: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in counts:
+    for u, w in edges:
         nbrs[u].append(w)
         nbrs[w].append(u)
     if len(ts) != 1 or any(len(ns) != 2 for ns in nbrs.values()):
@@ -322,9 +321,9 @@ def _cycle_shape(vertices: Collection[str], edges: Iterable[frozenset[str]]) -> 
 
 def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
     """(t, n) if H = tK_n for some t >= 1, n >= 1; None otherwise."""
-    return _complete_shape(H.vertices, H._incidence.values())
+    return _complete_shape(H.vertices, Counter(H._incidence.values()))
 
 
 def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
     """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise."""
-    return _cycle_shape(H.vertices, H._incidence.values())
+    return _cycle_shape(H.vertices, Counter(H._incidence.values()))

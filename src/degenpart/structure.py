@@ -1,19 +1,26 @@
 """Connectivity, separating vertices, blocks and the block tree.
 
-Blocks are computed on the skeleton graph, in which each incidence set
-becomes a ring: a cycle through its members in sorted order.  A cycle is
-2-connected, so every hyperedge lands in exactly one biconnected component
-of the skeleton, and the block vertex sets of the hypergraph coincide with
-the skeleton's.  Shrinking v away cuts each ring through v to a path, so
-the separating vertices are the skeleton's cut vertices: the vertices
-lying in two or more skeleton blocks.  The skeleton has at most 2 * sum |e|
-entries, and one Hopcroft-Tarjan DFS per component finds the blocks, and
-with them the separating vertices, in time linear in sum |e|.
+Blocks are computed on the skeleton graph, in which each distinct
+incidence set becomes a ring: a cycle through its members in sorted order
+(a 2-member set is one skeleton edge).  A cycle is 2-connected, so every
+hyperedge lands in exactly one biconnected component of the skeleton, and
+the block vertex sets of the hypergraph coincide with the skeleton's.
+Shrinking v away cuts each ring through v to a path, so the separating
+vertices are the skeleton's cut vertices: the vertices lying in two or
+more skeleton blocks.  The skeleton has at most 2 * sum |e| entries, and
+one Hopcroft-Tarjan DFS per component finds the blocks, and with them the
+separating vertices, in time linear in sum |e|.
+
+`rooted_blocks` gives each block's edges as an edge multiset: each
+distinct incidence set mapped to the number of parallel edges on it, the
+form in which the hard-pair layer reads a block.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .hypergraph import Hypergraph
 
@@ -50,7 +57,7 @@ def separating_vertices(H: Hypergraph) -> frozenset[str]:
 
     These are the vertices lying in two or more blocks of the skeleton.
     """
-    adj = _skeleton_adjacency(H)
+    adj = _skeleton_adjacency(H.vertices, set(H.edges().values()))
     disc: dict[str, int] = {}
     vsets: list[frozenset[str]] = []
     for root in adj:
@@ -76,9 +83,15 @@ class BlockTree:
     cut_vertices: frozenset[str]
 
 
-def _skeleton_adjacency(H: Hypergraph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in H.vertices}
-    for m in H.edges().values():
+def _skeleton_adjacency(vertices: Iterable[str], distinct: Iterable[frozenset[str]]) -> dict[str, set[str]]:
+    """One ring per incidence set in distinct, which holds each set once."""
+    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    for m in distinct:
+        if len(m) == 2:
+            u, w = m
+            adj[u].add(w)
+            adj[w].add(u)
+            continue
         ring = sorted(m)
         prev = ring[-1]
         for u in ring:
@@ -141,13 +154,16 @@ def _biconnected_vertex_sets(
     return comps
 
 
-def _dfs_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str]]], list[int], dict[str, int]]:
-    """The blocks of a connected non-empty H as (entry, vertex set) in the
-    order a depth-first search from the smallest vertex completes them, their
-    indices in BlockTree order, and the discovery times."""
+def _dfs_blocks(
+    H: Hypergraph, distinct: Iterable[frozenset[str]]
+) -> tuple[list[tuple[str, frozenset[str]]], list[int], dict[str, int]]:
+    """The blocks of a connected non-empty H, whose distinct incidence sets
+    are given, as (entry, vertex set) in the order a depth-first search from
+    the smallest vertex completes them, their indices in BlockTree order,
+    and the discovery times."""
     if H.is_empty:
         raise ValueError("blocks: empty hypergraph")
-    adj = _skeleton_adjacency(H)
+    adj = _skeleton_adjacency(H.vertices, distinct)
     disc: dict[str, int] = {}
     root = min(H.vertices)
     found = _biconnected_vertex_sets(adj, root, disc) or [(root, H.vertices)]
@@ -164,23 +180,31 @@ def _dfs_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str]]], list[i
 
 def blocks(H: Hypergraph) -> BlockTree:
     """Block decomposition of a connected non-empty hypergraph."""
-    found, rank, _ = _dfs_blocks(H)
+    found, rank, _ = _dfs_blocks(H, set(H.edges().values()))
     vsets = [found[k][1] for k in rank]
     return BlockTree(tuple(vsets), _in_two_or_more(vsets))
 
 
-def rooted_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str], list[frozenset[str]]]], list[int]]:
-    """(entry, vertex set, edges' incidence sets) of each block of a connected
+def rooted_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str], dict[frozenset[str], int]]], list[int]]:
+    """(entry, vertex set, edge multiset) of each block of a connected
     non-empty H, in the order a depth-first search from the smallest vertex
     completes them (each block after the blocks hanging below it, a block
     holding that root last), and the blocks' indices in BlockTree order.
+    The edge multiset maps each distinct incidence set of the block's edges
+    to the number of edges of H on it.
 
     An edge lies in the block of its last discovered member w: the last
     completed block holding w, where w is not the entry.
     """
-    found, rank, disc = _dfs_blocks(H)
+    multiset = Counter(H.edges().values())
+    found, rank, disc = _dfs_blocks(H, multiset)
     owner = {v: k for k, (_, b) in enumerate(found) for v in b}
-    edges: list[list[frozenset[str]]] = [[] for _ in found]
-    for m in H.edges().values():
-        edges[owner[max(m, key=disc.__getitem__)]].append(m)
+    edges: list[dict[frozenset[str], int]] = [{} for _ in found]
+    for m, t in multiset.items():
+        if len(m) == 2:
+            u, w = m
+            last = u if disc[u] > disc[w] else w
+        else:
+            last = max(m, key=disc.__getitem__)
+        edges[owner[last]][m] = t
     return [(c, b, es) for (c, b), es in zip(found, edges)], rank

@@ -12,12 +12,13 @@ import heapq
 import importlib
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 import degenpart as dp
-from degenpart import hardpair
+from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
 
 SWEEP_SEED = 20260823
 SWEEP_INSTANCES = 2000
@@ -160,6 +161,35 @@ def reference_make_hard(plan, p: int, seed: int = 0) -> tuple[dp.Hypergraph, dp.
     return build(plan)
 
 
+def reference_recognize(vertices, edges: list[frozenset[str]], pinned, p: int):
+    """Reference: the block's tag and share, agreeing with pinned, from its
+    edge list.  Every tag the first pinned vector g allows is tried: M when
+    g has at most one non-zero coordinate; otherwise K with t = |E(B)| /
+    C(n, 2), and C when g's two non-zero entries are equal.  A tag is taken
+    when `block_function` gives a share holding every pinned vector and the
+    block passes the tag's shape test.
+    """
+    multiset = Counter(edges)
+    g = next(iter(pinned.values()))
+    nz = [j for j, x in enumerate(g, 1) if x]
+    if len(nz) <= 1:
+        tags = [MTag(nz[0] if nz else 1)]
+    else:
+        tags = []
+        n = len(vertices)
+        pairs = n * (n - 1) // 2
+        t = len(edges) // pairs if pairs and len(edges) % pairs == 0 else 0
+        if t and all(x % t == 0 for x in g):
+            tags.append(KTag(t, tuple(x // t for x in g)))
+        if len(nz) == 2 and g[nz[0] - 1] == g[nz[1] - 1]:
+            tags.append(CTag(g[nz[0] - 1], nz[0], nz[1]))
+    for tag in tags:
+        share = block_function(vertices, multiset, tag, p)
+        if share is not None and pinned.items() <= share.items() and _has_shape(vertices, multiset, tag):
+            return tag, share
+    return None
+
+
 def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCertificate | None:
     """Reference: strip leaf blocks off the block tree, always the leaf of
     smallest index next, from a min-heap of the remaining blocks with at
@@ -190,7 +220,7 @@ def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCert
         leaf = heapq.heappop(leaves)
         bset = bt.blocks[leaf]
         pinned = {v: residual[v] for v in bset if len(blocks_of[v]) == 1}
-        found = hardpair._recognize(bset, block_edges[leaf], pinned, f.p)
+        found = reference_recognize(bset, block_edges[leaf], pinned, f.p)
         if found is None:
             return None
         tags[leaf], fns[leaf] = found

@@ -336,6 +336,23 @@ class TestDeterminism:
             assert runs[0].returncode == runs[1].returncode == code
             assert runs[0].stdout == runs[1].stdout
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the answer outgrows the 64 KiB pipe buffer, so the CLI is still
+        # writing when the reader closes the pipe after one line
+        vs = [f"v{i}" for i in range(1, 20001)]
+        path = write(tmp_path, "wide.hg", emit_instance(dp.Hypergraph(vs, {"e": vs})))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "degenpart.cli", "blocks", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"blocks 1\n" and err == b""
+
     def test_gen_seeded_reproducible(self):
         a = self._run(["gen", "random", "--n", "6", "--m", "7", "--seed", "9"], "")
         b = self._run(["gen", "random", "--n", "6", "--m", "7", "--seed", "9"], "")

@@ -370,6 +370,16 @@ class TestIsHardAtScale:
         assert dp.is_hard(H, raised) is None
 
 
+def _k4_with_pendant():
+    # K_4 on b..e, entered through b from the pendant edge ab
+    edges = {f"k{i}": uv for i, uv in enumerate(itertools.combinations("bcde", 2))}
+    return Hypergraph("abcde", {**edges, "ab": "ab"})
+
+
+def _one_extra(H, e):
+    return Hypergraph(H.vertices, {**H.edges(), "extra": H.incidence(e)})
+
+
 class TestIsHardMatchesReference:
     """The rooted strip gives the heap strip's verdict and certificate."""
 
@@ -417,6 +427,35 @@ class TestIsHardMatchesReference:
                     hard += 1
                     assert len(cert.blocks) == nblocks and dp.verify_certificate(H, g, cert)
         assert hard >= 5
+
+    @pytest.mark.parametrize(
+        "H, values, tags",
+        [
+            (dp.complete_uniform(3, 2), {"v1": (1, 1), "v2": (1, 1), "v3": (2, 0)}, None),
+            (dp.complete_uniform(4, 2), {"v1": (1, 2), "v2": (1, 2), "v3": (1, 2), "v4": (2, 1)}, None),
+            (_k4_with_pendant(), {"a": (1, 0), "b": (2, 2), "c": (1, 2), "d": (1, 2), "e": (2, 1)}, None),
+            (_k4_with_pendant(), {"a": (1, 0), "b": (2, 2), "c": (1, 2), "d": (1, 2), "e": (1, 2)},
+             (MTag(1), KTag(1, (1, 2)))),
+            (_one_extra(dp.t_fold(dp.complete_uniform(3, 2), 2), "e1.1"),
+             {"v1": (5, 0), "v2": (5, 0), "v3": (4, 0)}, (MTag(1),)),
+            (_one_extra(dp.t_fold(dp.complete_uniform(3, 2), 2), "e1.1"),
+             {"v1": (3, 2), "v2": (3, 2), "v3": (2, 2)}, None),
+            (_one_extra(dp.t_fold(dp.cycle(5), 2), "e1.1"),
+             {**dict.fromkeys(["v1", "v2"], (3, 2)), **dict.fromkeys(["v3", "v4", "v5"], (2, 2))}, None),
+            (dp.t_fold(dp.cycle(3), 2), dict.fromkeys(["v1", "v2", "v3"], (2, 2)), (KTag(2, (1, 1)),)),
+            (dp.t_fold(dp.cycle(3), 2), dict.fromkeys(["v1", "v2", "v3"], (2, 0, 2)), (KTag(2, (1, 0, 1)),)),
+            (dp.t_fold(dp.cycle(3), 2), dict.fromkeys(["v1", "v2", "v3"], (1, 3)), None),
+        ],
+    )
+    def test_named_blocks(self, H, values, tags):
+        # blocks that the K and C shortcuts must not misread: pinned vectors
+        # that differ, a t-fold block with one extra parallel edge, and a
+        # 2-fold triangle, which is 2K_3 and too short for a C tag
+        f = VectorFunction(len(next(iter(values.values()))), values)
+        cert = dp.is_hard(H, f)
+        assert cert == reference_is_hard(H, f)
+        assert (cert and cert.tags) == tags
+        assert cert is None or dp.verify_certificate(H, f, cert)
 
 
 class TestIsHardCallCounts:

@@ -65,6 +65,12 @@ class TestDegrees:
         assert H.multiplicity("v1", "v2") == 3
         assert H.multiplicity("v1", "v3") == 0
 
+    def test_unknown_vertex_rejected(self):
+        H = dp.cycle(4)
+        for query in (H.edges_at, H.degree):
+            with pytest.raises(ValueError, match="unknown vertex 'v5'"):
+                query("v5")
+
     def test_multiplicity_same_vertex_rejected(self):
         with pytest.raises(ValueError):
             dp.cycle(4).multiplicity("v1", "v1")

@@ -202,7 +202,7 @@ class TestComplexity:
 class TestConstructionCounts:
     def test_connected_hard_pair_builds_no_hypergraph(self, monkeypatch):
         # a connected instance is not copied, and is_hard reads each of its
-        # 16 blocks from the block's edge list without building it
+        # 16 blocks from the block's edge multiset without building it
         H, f = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
         nblocks = len(dp.blocks(H).blocks)
         counts: dict[str, int] = {}
