@@ -15,11 +15,14 @@ incidence set mapped to its number of parallel edges, so no block is
 built as a `Hypergraph` and a t-fold edge is read once, not t times.
 Recognition (`is_hard`, `classify_block`), verification
 (`verify_certificate`) and construction (`make_hard`) all read these two.
-`is_hard` recognises each block straight from the edge multiset that
-`structure.rooted_blocks` gives it, stripping the blocks in the order a
-depth-first search completes them: the value of f on a block's vertices
-other than the one it was entered through pins down that block's tag and
-share, and the shares must add up exactly at the shared vertices.
+`_strip_blocks` decides one component from the rooted blocks that
+`structure.block_forest` gives it, recognising each block straight from
+its edge multiset and stripping the blocks in the order a depth-first
+search completes them: the value of f on a block's vertices other than
+the one it was entered through pins down that block's tag and share, and
+the shares must add up exactly at the shared vertices.  `is_hard` runs it
+on a connected pair, and `partition.solve` and the CLI on each tight
+component of one `block_forest` pass.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
@@ -36,7 +39,7 @@ from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
-from .structure import rooted_blocks
+from .structure import RootedBlock, block_count, rooted_blocks
 
 
 class VectorFunction:
@@ -236,41 +239,55 @@ def _recognize(
 
 def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
     """The base type of one block: is_hard's single tag, or None if no match."""
-    if len(rooted_blocks(B)[0]) != 1:
+    if block_count(B) != 1:
         raise ValueError("classify_block expects a connected block without separating vertices")
     cert = is_hard(B, fB)
     return cert.tags[0] if cert else None
 
 
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
-    """Certificate of non-partitionability, or None.
+    """Certificate of non-partitionability of a connected non-empty pair, or None.
 
-    Strips the blocks in the order a depth-first search from the smallest
-    vertex completes them (`structure.rooted_blocks`), so every block goes
-    after the blocks hanging below it, and a block holding the root goes
-    last.  The residual f at a block's vertices other than its entry pins
-    the block's tag and share, read straight from the block's vertex set
-    and edges; the share is subtracted from the residual at the entry,
-    which must stay non-negative.  The last block has every vertex pinned.
-
-    The order cannot change the answer.  A leaf's pinned values force its
-    tag and share: M needs at most one non-zero coordinate and K at least
-    two, and tK_n != tC_n for n >= 5.  So a hard pair gives the same shares
-    in every order, and any order that succeeds yields a valid certificate.
+    None unless sum f = d at every vertex; otherwise the blocks of
+    `structure.rooted_blocks` are stripped as `_strip_blocks` describes.
     """
     parts, rank = rooted_blocks(H)
     if f.vertices != H.vertices:
         raise ValueError("vector function domain does not match the hypergraph")
     if any(sum(vec) != H.degree(v) for v, vec in f.items()):
         return None
-    residual = dict(f.items())
+    return _strip_blocks(parts, rank, dict(f.items()), f.p)
+
+
+def _strip_blocks(
+    parts: list[RootedBlock], rank: list[int], residual: dict[str, tuple[int, ...]], p: int
+) -> HardPairCertificate | None:
+    """Certificate that the component with these rooted blocks (as
+    `structure.block_forest` gives them) is hard, or None.  residual holds
+    f on the component, with sum f = d at each vertex: the caller checks
+    that.  It is lowered at the entries as the blocks are stripped, so a
+    caller may share one residual among disjoint components.
+
+    Strips the blocks in the order a depth-first search from the smallest
+    vertex completes them, so every block goes after the blocks hanging
+    below it, and a block holding the root goes last.  The residual f at a
+    block's vertices other than its entry pins the block's tag and share,
+    read straight from the block's vertex set and edges; the share is
+    subtracted from the residual at the entry, which must stay
+    non-negative.  The last block has every vertex pinned.
+
+    The order cannot change the answer.  A leaf's pinned values force its
+    tag and share: M needs at most one non-zero coordinate and K at least
+    two, and tK_n != tC_n for n >= 5.  So a hard pair gives the same shares
+    in every order, and any order that succeeds yields a valid certificate.
+    """
     last = len(parts) - 1
     tags: list[BlockTypeTag | None] = [None] * len(parts)
     fns: list[dict[str, tuple[int, ...]] | None] = [None] * len(parts)
     for k, (c, bset, edges) in enumerate(parts):
         if k == last:
             c = None
-        found = _recognize(bset, edges, {v: residual[v] for v in bset if v != c}, f.p)
+        found = _recognize(bset, edges, {v: residual[v] for v in bset if v != c}, p)
         if found is None:
             return None
         tags[k], fns[k] = found
@@ -375,7 +392,7 @@ def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:
     kind = plan[0]
     if kind == "M":
         _, B, j = plan
-        if len(rooted_blocks(B)[0]) != 1:
+        if block_count(B) != 1:
             raise ValueError("M plan block must be connected without separating vertices")
         return B, MTag(j)
     if kind == "K":

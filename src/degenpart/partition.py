@@ -3,15 +3,23 @@
 Given f with f_1(v)+...+f_p(v) >= d(v) everywhere, a connected
 hypergraph admits a partition into strictly f_i-degenerate classes
 exactly when the pair is not one of the hard pairs recognized by
-hardpair.is_hard.  The solver is the constructive proof of that
-theorem, run one component at a time on a residual state private to it:
-the unplaced vertices, the number of unplaced members of each edge, and
-the residual f.  The one reduction rule is _Residual.place: placing z
-into class j shrinks z away and lowers f_j by one, clamped at 0, at the
-other end of every edge left with exactly two unplaced members.
-reduce_pair is one such placement on a fresh residual of the whole
-hypergraph.  A partition of the reduction extends by z in class j
-whenever f_j(z) > 0, and every vertex v != z keeps sum f >= d.
+hardpair.is_hard.  The solver is the constructive proof of that theorem,
+run on a residual state: the unplaced vertices, the number of unplaced
+members of each edge, and the residual f.  The one reduction rule is
+_Residual.place: placing z into class j shrinks z away and lowers f_j by
+one, clamped at 0, at the other end of every edge left with exactly two
+unplaced members.  reduce_pair is one such placement on a fresh residual
+of the whole hypergraph.  A partition of the reduction extends by z in
+class j whenever f_j(z) > 0, and every vertex v != z keeps sum f >= d.
+
+solve checks the domain and the degree hypothesis once.  Components with
+slack go straight to the finisher and need no block structure: one
+residual of the whole hypergraph is finished from each slack vertex, in
+name order, that is still unplaced, so each such component from its
+smallest slack vertex.  One structure.block_forest pass then gives the
+blocks of every tight component, and hardpair's strip of a component's
+blocks decides it: hard, with a certificate, or handed to the tight
+steps.
 
 Slack finisher.  A vertex s with sum f > d keeps that slack through
 every placement.  The vertices are placed farthest from s first
@@ -20,14 +28,14 @@ coordinate, smallest j on ties.  Every vertex but s still has its
 breadth-first parent unplaced, hence an edge, hence some f_j > 0; s,
 placed last, has one too.  This takes O(p*n + sum |e|).
 
-Tight steps.  With sum f = d everywhere, is_hard decides the component.
-If it is not hard, tight steps place one non-separating vertex z of the
-residual at a time into a class j whose reduction is not hard, until
-some vertex has slack and the finisher takes over.  A step prefers a
-(z, j) where some ordinary neighbour u has mu(z, u) > f_j(u): the
-reduction leaves u with slack and stays connected, so it is not hard
-without asking is_hard.  Otherwise it takes the first candidate whose
-reduce_pair is not hard.  No step is ever undone.
+Tight steps.  On a tight component that is not hard, tight steps place
+one non-separating vertex z of the residual at a time into a class j
+whose reduction is not hard, until some vertex has slack and the
+finisher takes over.  A step prefers a (z, j) where some ordinary
+neighbour u has mu(z, u) > f_j(u): the reduction leaves u with slack and
+stays connected, so it is not hard without asking is_hard.  Otherwise it
+takes the first candidate whose reduce_pair is not hard.  No step is
+ever undone.
 
 Verification and refinement.  No edge joins two classes, so
 verify_partition peels all classes at once: one hypergraph of the edges
@@ -42,9 +50,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import is_strictly_degenerate
-from .hardpair import HardPairCertificate, VectorFunction, is_hard
+from .hardpair import HardPairCertificate, VectorFunction, _strip_blocks, is_hard
 from .hypergraph import Hypergraph
-from .structure import components, separating_vertices
+from .structure import block_forest, separating_vertices
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +87,21 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     slack = _slack(H, f)
     assignment: dict[str, int] = {}
     certs: dict[frozenset[str], HardPairCertificate] = {}
-    for comp in components(H):
-        if not comp.isdisjoint(slack):
-            _Residual(H, f, comp).finish(min(comp & slack), assignment)
-            continue
-        Hc = H.induced(comp)
-        fc = f.restrict(comp)
-        cert = is_hard(Hc, fc)
+    tight = H.vertices
+    if slack:
+        r = _Residual(H, f, H.vertices)
+        for s in sorted(slack):
+            if s in r.alive:
+                r.finish(s, assignment)
+        tight = r.alive
+    T = H.induced(tight)
+    residual = dict(f.items())
+    for comp, parts, rank in block_forest(T):
+        cert = _strip_blocks(parts, rank, residual, f.p)
         if cert is not None:
             certs[comp] = cert
-            continue
-        _Residual(Hc, fc, comp).tight_steps(assignment)
+        else:
+            _Residual(T.induced(comp), f, comp).tight_steps(assignment)
     if certs:
         return SolveResult(None, certs)
     if not verify_partition(H, f, assignment):
@@ -98,7 +110,8 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
 
 
 class _Residual:
-    """What is left of one component of H while its vertices are placed.
+    """What is left of comp, one or more components of H, while its
+    vertices are placed.
 
     alive holds the unplaced vertices, live[e] the number of unplaced
     members of edge e, and res[v] the residual f at v.  A vertex gains

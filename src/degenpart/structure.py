@@ -11,16 +11,20 @@ more skeleton blocks.  The skeleton has at most 2 * sum |e| entries, and
 one Hopcroft-Tarjan DFS per component finds the blocks, and with them the
 separating vertices, in time linear in sum |e|.
 
-`rooted_blocks` gives each block's edges as an edge multiset: each
-distinct incidence set mapped to the number of parallel edges on it, the
-form in which the hard-pair layer reads a block.
+Every block query runs the same driver, `_dfs_forest`: it roots the
+first search at the smallest vertex and each later one at the smallest
+vertex left undiscovered.  `block_forest` gives, from that one pass, every
+component's vertex set and blocks, each block with its entry and its edges
+as an edge multiset: each distinct incidence set mapped to the number of
+parallel edges on it, the form in which the hard-pair layer reads a block.
+`rooted_blocks` is its connected case.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .hypergraph import Hypergraph
 
@@ -57,13 +61,8 @@ def separating_vertices(H: Hypergraph) -> frozenset[str]:
 
     These are the vertices lying in two or more blocks of the skeleton.
     """
-    adj = _skeleton_adjacency(H.vertices, set(H.edges().values()))
-    disc: dict[str, int] = {}
-    vsets: list[frozenset[str]] = []
-    for root in adj:
-        if root not in disc:
-            vsets += (b for _, b in _biconnected_vertex_sets(adj, root, disc))
-    return _in_two_or_more(vsets)
+    forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H.edges().values())))
+    return _in_two_or_more([b for found in forest for _, b in found])
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,24 @@ class BlockTree:
     cut_vertices: frozenset[str]
 
 
-def _skeleton_adjacency(vertices: Iterable[str], distinct: Iterable[frozenset[str]]) -> dict[str, set[str]]:
-    """One ring per incidence set in distinct, which holds each set once."""
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
+def _skeleton_adjacency(vertices: Iterable[str], distinct: Iterable[frozenset[str]]) -> dict[str, list[str]]:
+    """One ring per incidence set in distinct, which holds each set once.
+
+    Two sets may give the same pair, which then appears twice in a list:
+    a parallel skeleton edge changes no block, so it is kept.
+    """
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
     for m in distinct:
         if len(m) == 2:
             u, w = m
-            adj[u].add(w)
-            adj[w].add(u)
+            adj[u].append(w)
+            adj[w].append(u)
             continue
         ring = sorted(m)
         prev = ring[-1]
         for u in ring:
-            adj[prev].add(u)
-            adj[u].add(prev)
+            adj[prev].append(u)
+            adj[u].append(prev)
             prev = u
     return adj
 
@@ -111,7 +114,7 @@ def _in_two_or_more(vsets: list[frozenset[str]]) -> frozenset[str]:
 
 
 def _biconnected_vertex_sets(
-    adj: dict[str, set[str]], root: str, disc: dict[str, int]
+    adj: dict[str, list[str]], root: str, disc: dict[str, int]
 ) -> list[tuple[str, frozenset[str]]]:
     """(entry, vertex set) of each biconnected component reachable from root
     (iterative Hopcroft-Tarjan); the entry is the component's vertex
@@ -120,7 +123,7 @@ def _biconnected_vertex_sets(
     Records the discovery time of every vertex reached in disc, which may
     already hold the vertices of other components.  Neither the vertex
     sets nor the entries depend on the order in which neighbours are
-    visited, so adjacency sets are walked in their own order.
+    visited, so adjacency lists are walked in their own order.
     """
     low: dict[str, int] = {}
     comps: list[tuple[str, frozenset[str]]] = []
@@ -154,52 +157,97 @@ def _biconnected_vertex_sets(
     return comps
 
 
-def _dfs_blocks(
-    H: Hypergraph, distinct: Iterable[frozenset[str]]
-) -> tuple[list[tuple[str, frozenset[str]]], list[int], dict[str, int]]:
-    """The blocks of a connected non-empty H, whose distinct incidence sets
-    are given, as (entry, vertex set) in the order a depth-first search from
-    the smallest vertex completes them, their indices in BlockTree order,
-    and the discovery times."""
-    if H.is_empty:
-        raise ValueError("blocks: empty hypergraph")
-    adj = _skeleton_adjacency(H.vertices, distinct)
-    disc: dict[str, int] = {}
-    root = min(H.vertices)
-    found = _biconnected_vertex_sets(adj, root, disc) or [(root, H.vertices)]
-    if len(disc) < H.order:
-        raise ValueError("blocks: disconnected hypergraph (iterate components)")
+def _dfs_forest(adj: dict[str, list[str]]) -> tuple[list[list[tuple[str, frozenset[str]]]], dict[str, int]]:
+    """One depth-first search per component of the skeleton adj, and the
+    discovery times.  For each component, sorted by smallest vertex, the
+    (entry, vertex set) of its blocks in the order the search from that
+    smallest vertex completes them; an isolated vertex is one block,
+    entered through itself.
 
-    def order(k: int) -> tuple:
+    The first search starts at the smallest vertex; the other vertices are
+    sorted only when that search leaves some of them undiscovered.
+    """
+    forest: list[list[tuple[str, frozenset[str]]]] = []
+    disc: dict[str, int] = {}
+
+    def search(root: str) -> None:
+        forest.append(_biconnected_vertex_sets(adj, root, disc) or [(root, frozenset((root,)))])
+
+    if adj:
+        search(min(adj))
+    if len(disc) < len(adj):
+        for v in sorted(adj.keys() - disc.keys()):
+            if v not in disc:
+                search(v)
+    return forest, disc
+
+
+def _block_order(found: list[tuple[str, frozenset[str]]], adj: dict[str, list[str]]) -> list[int]:
+    """The indices of one component's blocks in BlockTree order."""
+
+    def key(k: int) -> tuple:
         entry, b = found[k]
         m = min(b)
-        return (m, 0, min(adj[m] & b, default=m)) if m == entry else (m, 1)
+        return (m, 0, min((u for u in adj[m] if u in b), default=m)) if m == entry else (m, 1)
 
-    return found, sorted(range(len(found)), key=order), disc
+    return sorted(range(len(found)), key=key)
+
+
+T = TypeVar("T")
+
+
+def _one_tree(forest: list[T]) -> T:
+    """The only component's entry of a forest; ValueError for an empty or
+    disconnected hypergraph."""
+    if not forest:
+        raise ValueError("blocks: empty hypergraph")
+    if len(forest) > 1:
+        raise ValueError("blocks: disconnected hypergraph (iterate components)")
+    return forest[0]
+
+
+def block_count(H: Hypergraph) -> int:
+    """The number of blocks of a connected non-empty hypergraph, from the
+    depth-first search alone: no edge is assigned and no block sorted."""
+    forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H.edges().values())))
+    return len(_one_tree(forest))
 
 
 def blocks(H: Hypergraph) -> BlockTree:
     """Block decomposition of a connected non-empty hypergraph."""
-    found, rank, _ = _dfs_blocks(H, set(H.edges().values()))
-    vsets = [found[k][1] for k in rank]
+    adj = _skeleton_adjacency(H.vertices, set(H.edges().values()))
+    forest, _ = _dfs_forest(adj)
+    found = _one_tree(forest)
+    vsets = [found[k][1] for k in _block_order(found, adj)]
     return BlockTree(tuple(vsets), _in_two_or_more(vsets))
 
 
-def rooted_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str], dict[frozenset[str], int]]], list[int]]:
-    """(entry, vertex set, edge multiset) of each block of a connected
-    non-empty H, in the order a depth-first search from the smallest vertex
-    completes them (each block after the blocks hanging below it, a block
-    holding that root last), and the blocks' indices in BlockTree order.
-    The edge multiset maps each distinct incidence set of the block's edges
-    to the number of edges of H on it.
+RootedBlock = tuple[str, frozenset[str], dict[frozenset[str], int]]
+
+
+def block_forest(H: Hypergraph) -> list[tuple[frozenset[str], list[RootedBlock], list[int]]]:
+    """Every component's blocks, from one skeleton and one depth-first
+    search per component.
+
+    For each component, sorted by smallest vertex: its vertex set; the
+    (entry, vertex set, edge multiset) of each of its blocks, in the order
+    the search from the component's smallest vertex completes them (each
+    block after the blocks hanging below it, a block holding that root
+    last); and the blocks' indices in BlockTree order.  The edge multiset
+    maps each distinct incidence set of the block's edges to the number of
+    edges of H on it.
 
     An edge lies in the block of its last discovered member w: the last
     completed block holding w, where w is not the entry.
     """
     multiset = Counter(H.edges().values())
-    found, rank, disc = _dfs_blocks(H, multiset)
-    owner = {v: k for k, (_, b) in enumerate(found) for v in b}
-    edges: list[dict[frozenset[str], int]] = [{} for _ in found]
+    adj = _skeleton_adjacency(H.vertices, multiset)
+    forest, disc = _dfs_forest(adj)
+    ranks = [_block_order(found, adj) for found in forest]
+    del adj  # the skeleton is freed before the edges are assigned
+    flat = [part for found in forest for part in found]
+    owner = {v: k for k, (_, b) in enumerate(flat) for v in b}
+    edges: list[dict[frozenset[str], int]] = [{} for _ in flat]
     for m, t in multiset.items():
         if len(m) == 2:
             u, w = m
@@ -207,4 +255,18 @@ def rooted_blocks(H: Hypergraph) -> tuple[list[tuple[str, frozenset[str], dict[f
         else:
             last = max(m, key=disc.__getitem__)
         edges[owner[last]][m] = t
-    return [(c, b, es) for (c, b), es in zip(found, edges)], rank
+    out = []
+    start = 0
+    for found, rank in zip(forest, ranks):
+        stop = start + len(found)
+        parts = [(c, b, es) for (c, b), es in zip(found, edges[start:stop])]
+        out.append((frozenset().union(*(b for _, b in found)), parts, rank))
+        start = stop
+    return out
+
+
+def rooted_blocks(H: Hypergraph) -> tuple[list[RootedBlock], list[int]]:
+    """`block_forest`'s one entry for a connected non-empty H: its rooted
+    blocks, in completion order, and their indices in BlockTree order."""
+    _, parts, rank = _one_tree(block_forest(H))
+    return parts, rank

@@ -19,6 +19,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
+from degenpart.partition import _check_domain, _Residual, _slack
 
 SWEEP_SEED = 20260823
 SWEEP_INSTANCES = 2000
@@ -237,6 +238,93 @@ def reference_is_hard(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.HardPairCert
                     if n_shared[other] == 1:
                         heapq.heappush(leaves, other)
     return dp.HardPairCertificate(bt.blocks, tuple(tags), tuple(fns))
+
+
+def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
+    """Reference: the solver driven one component at a time, as `components`
+    lists them.  A component with slack is finished from its smallest slack
+    vertex; a tight one is copied with `induced` and `restrict` and handed
+    to `is_hard`, and, when not hard, to the tight steps."""
+    _check_domain(H, f)
+    slack = _slack(H, f)
+    assignment: dict[str, int] = {}
+    certs = {}
+    for comp in dp.components(H):
+        if not comp.isdisjoint(slack):
+            _Residual(H, f, comp).finish(min(comp & slack), assignment)
+            continue
+        Hc = H.induced(comp)
+        fc = f.restrict(comp)
+        cert = dp.is_hard(Hc, fc)
+        if cert is not None:
+            certs[comp] = cert
+            continue
+        _Residual(Hc, fc, comp).tight_steps(assignment)
+    if certs:
+        return dp.SolveResult(None, certs)
+    assert dp.verify_partition(H, f, assignment)
+    return dp.SolveResult(assignment, None)
+
+
+def reference_hard_components(H: dp.Hypergraph, f: dp.VectorFunction) -> dict:
+    """Reference: `is_hard` on each component, copied with `induced` and `restrict`."""
+    certs = {}
+    for comp in dp.components(H):
+        cert = dp.is_hard(H.induced(comp), f.restrict(comp))
+        if cert is not None:
+            certs[comp] = cert
+    return certs
+
+
+def disjoint_union(parts) -> tuple[dp.Hypergraph, dp.VectorFunction]:
+    """The disjoint union of (prefix, H, f) parts with one p, each vertex and
+    edge named with its part's prefix."""
+    vertices: list[str] = []
+    edges: dict[str, list[str]] = {}
+    values: dict[str, tuple[int, ...]] = {}
+    for prefix, H, f in parts:
+        vertices += (prefix + v for v in H.vertices)
+        edges.update({prefix + e: [prefix + v for v in m] for e, m in H.edges().items()})
+        values.update({prefix + v: vec for v, vec in f.items()})
+    return dp.Hypergraph(vertices, edges), dp.VectorFunction(parts[0][2].p, values)
+
+
+def disconnected_instance(seed: int) -> tuple[dp.Hypergraph, dp.VectorFunction]:
+    """Seeded disconnected instance of two to six components, drawn from:
+    hard pairs; hard pairs with one coordinate raised at one to three
+    vertices (slack); hard pairs with one unit moved between coordinates at
+    one vertex (tight, mostly not hard); tight instances that are not hard;
+    and isolated vertices with f = 0 (hard) or f > 0 (slack).  The prefixes
+    are drawn at random, so the components' smallest vertices interleave."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    parts = []
+    for i in range(rng.randint(2, 6)):
+        kind = rng.choice(("hard", "raised", "raised", "moved", "tight", "isolated"))
+        prefix = f"{rng.choice('pqrs')}{i}."
+        if kind == "isolated":
+            vec = rng.choice(((0,) * p, (1,) + (0,) * (p - 1)))
+            parts.append((prefix, dp.Hypergraph(["v"]), dp.VectorFunction(p, {"v": vec})))
+            continue
+        if kind == "tight":
+            parts.append((prefix, *tight_instance(rng.randint(8, 16), p)))
+            continue
+        plan = dp.random_hard_plan(rng.randrange(2**32), max_blocks=rng.randint(1, 8), p=p)
+        H, f = dp.make_hard(plan, p, seed=rng.randrange(2**32))
+        if kind == "raised":
+            for v in rng.sample(sorted(H.vertices), min(H.order, rng.randint(1, 3))):
+                vec = list(f[v])
+                vec[rng.randrange(p)] += 1
+                f = f.with_value(v, vec)
+        elif kind == "moved":
+            v = rng.choice(sorted(u for u in H.vertices if any(f[u])))
+            vec = list(f[v])
+            j = rng.choice([j for j, x in enumerate(vec) if x])
+            vec[j] -= 1
+            vec[(j + 1) % p] += 1
+            f = f.with_value(v, vec)
+        parts.append((prefix, H, f))
+    return disjoint_union(parts)
 
 
 def reference_reduce_pair(

@@ -10,13 +10,20 @@ import degenpart as dp
 from degenpart.cli import main
 from degenpart.hardpair import VectorFunction
 from degenpart.instancefile import (
+    emit_certificates,
     emit_instance,
     parse_certificates,
     parse_coloring,
     parse_instance,
     parse_partition,
 )
-from conftest import balanced_plan, refinement_instances
+from conftest import (
+    balanced_plan,
+    disconnected_instance,
+    disjoint_union,
+    reference_hard_components,
+    refinement_instances,
+)
 
 
 def write(tmp_path, name, text):
@@ -56,6 +63,30 @@ class TestCommands:
         parse_certificates(capsys.readouterr().out)
         assert main(["is-hard", write(tmp_path, "c4.hg", c4_instance())]) == 0
         assert capsys.readouterr().out == "not-hard\n"
+
+    def test_is_hard_per_component(self, tmp_path, capsys):
+        # two hard components, and a tight C4 that is not hard and holds the smallest vertex
+        H1, f1 = dp.make_hard(dp.random_hard_plan(3, max_blocks=12, p=3), 3, seed=3)
+        H2, f2 = dp.make_hard(dp.random_hard_plan(5, max_blocks=6, p=3), 3, seed=5)
+        C = dp.cycle(4)
+        H, f = disjoint_union([("x.", H1, f1), ("y.", H2, f2), ("a.", C, VectorFunction.constant(C.vertices, (1, 1, 0)))])
+        assert main(["is-hard", write(tmp_path, "h.hg", emit_instance(H, f))]) == 2
+        out = capsys.readouterr().out
+        want = reference_hard_components(H, f)
+        assert len(want) == 2 and out == emit_certificates(want)
+        for cert in parse_certificates(out):
+            comp = frozenset().union(*cert.blocks)
+            assert dp.verify_certificate(H.induced(comp), f.restrict(comp), cert)
+
+    def test_is_hard_matches_component_driver(self, tmp_path, capsys):
+        hard = 0
+        for seed in range(40):
+            H, f = disconnected_instance(seed)
+            want = reference_hard_components(H, f)
+            code = main(["is-hard", write(tmp_path, f"{seed}.hg", emit_instance(H, f))])
+            assert (code, capsys.readouterr().out) == ((2, emit_certificates(want)) if want else (0, "not-hard\n"))
+            hard += code == 2
+        assert 10 <= hard < 40
 
     def test_col(self, tmp_path, capsys):
         path = write(tmp_path, "k4.hg", emit_instance(dp.complete_uniform(4, 2)))

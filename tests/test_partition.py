@@ -7,13 +7,16 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
+from degenpart.instancefile import emit_certificates, emit_partition
 from conftest import (
     balanced_plan,
     count_calls,
+    disconnected_instance,
     layered_wheel_instance,
     reference_enforce_degree_bounds,
     reference_partition_weight,
     reference_reduce_pair,
+    reference_solve,
     reference_verify_partition,
     refinement_instances,
     tight_instance,
@@ -175,10 +178,10 @@ class TestComplexity:
         f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
         partition_module = importlib.import_module("degenpart.partition")
         counts: dict[str, int] = {}
-        count_calls(monkeypatch, counts, partition_module, "is_hard")
+        count_calls(monkeypatch, counts, partition_module, "_strip_blocks")
         count_calls(monkeypatch, counts, partition_module, "reduce_pair")
         res = dp.solve(H, f)
-        assert counts == {"is_hard": 1, "reduce_pair": 0}
+        assert counts == {"_strip_blocks": 1, "reduce_pair": 0}
         assert res.partition["a"] == 1
         assert dp.verify_partition(H, f, res.partition)
 
@@ -192,10 +195,11 @@ class TestComplexity:
         partition_module = importlib.import_module("degenpart.partition")
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, partition_module, "is_hard")
+        count_calls(monkeypatch, counts, partition_module, "_strip_blocks")
         count_calls(monkeypatch, counts, partition_module, "separating_vertices")
         count_calls(monkeypatch, counts, Hypergraph, "shrink_away")
         res = dp.solve(H, g)
-        assert counts == {"is_hard": 0, "separating_vertices": 0, "shrink_away": 0}
+        assert counts == {"is_hard": 0, "_strip_blocks": 0, "separating_vertices": 0, "shrink_away": 0}
         assert dp.verify_partition(H, g, res.partition)
 
 
@@ -246,6 +250,24 @@ class TestConstructionCounts:
         assert set(res.certificates) == {H1.vertices, frozenset(ren.values())}
         for comp, cert in res.certificates.items():
             assert dp.verify_certificate(H.induced(comp), f.restrict(comp), cert)
+
+
+class TestOnePass:
+    def test_matches_component_driver_on_disconnected_instances(self):
+        # one block_forest pass gives what components, induced, restrict and
+        # is_hard per component gave, byte for byte
+        partitioned = certified = 0
+        for seed in range(200):
+            H, f = disconnected_instance(seed)
+            got, want = dp.solve(H, f), reference_solve(H, f)
+            assert got.partition == want.partition and got.certificates == want.certificates
+            if want.partitionable:
+                assert emit_partition(got.partition, f.p) == emit_partition(want.partition, f.p)
+                partitioned += 1
+            else:
+                assert emit_certificates(got.certificates) == emit_certificates(want.certificates)
+                certified += len(want.certificates) > 1
+        assert partitioned >= 60 and certified >= 40
 
 
 class TestScale:

@@ -8,7 +8,8 @@ import pytest
 
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
-from degenpart.structure import _skeleton_adjacency, blocks, rooted_blocks
+from degenpart.structure import _skeleton_adjacency, block_count, block_forest, blocks, rooted_blocks
+from conftest import disconnected_instance
 
 
 class TestComponents:
@@ -277,6 +278,63 @@ class TestBlockOrder:
         assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.count(b"\n") == 250
+
+
+def _forest_corpus():
+    """The block-order corpus, then disconnected instances, some with
+    isolated vertices, and an edgeless one."""
+    yield from _block_order_corpus()
+    for seed in range(60):
+        yield disconnected_instance(seed)[0]
+    yield Hypergraph("cab")
+    yield Hypergraph("abcdefg", {"e1": "bd", "e2": "dg", "e3": "gb", "x": "cef"})
+
+
+class TestBlockForest:
+    def test_each_component_matches_rooted_blocks(self):
+        isolated = several = 0
+        for H in _forest_corpus():
+            forest = block_forest(H)
+            assert [comp for comp, _, _ in forest] == dp.components(H)
+            for comp, parts, rank in forest:
+                assert (parts, rank) == rooted_blocks(H.induced(comp))
+            isolated += sum(len(comp) == 1 for comp, _, _ in forest)
+            several += len(forest) > 1
+        assert isolated >= 20 and several >= 60
+
+    def test_empty(self):
+        assert block_forest(Hypergraph(())) == []
+
+    def test_block_count(self):
+        for H in _block_order_corpus():
+            assert block_count(H) == len(rooted_blocks(H)[0])
+        with pytest.raises(ValueError, match="empty"):
+            block_count(Hypergraph(()))
+        with pytest.raises(ValueError, match="disconnected"):
+            block_count(Hypergraph("abcd", {"e1": "ab", "e2": "cd"}))
+
+    def test_independent_of_hash_seed(self):
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import test_structure as t\n"
+            "from degenpart.structure import block_forest\n"
+            "for H in t._forest_corpus():\n"
+            "    print([(sorted(c), [(e, sorted(b), sorted((sorted(m), t) for m, t in es.items()))"
+            " for e, b, es in parts], rank) for c, parts, rank in block_forest(H)])\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script, here, src],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "1")
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count(b"\n") == 312
 
 
 class TestWideEdges:
