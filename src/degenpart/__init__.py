@@ -27,6 +27,7 @@ from .hardpair import (
     MTag,
     VectorFunction,
     classify_block,
+    hard_components,
     is_hard,
     make_hard,
     random_hard_plan,
@@ -82,6 +83,7 @@ __all__ = [
     "degree_constrained_partition",
     "emit_instance",
     "enforce_degree_bounds",
+    "hard_components",
     "is_Lxs_choosable",
     "is_connected",
     "is_hard",

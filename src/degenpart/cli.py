@@ -19,7 +19,7 @@ import sys
 from . import coloring as coloring_mod
 from . import oracle
 from .degeneracy import col, is_strictly_degenerate
-from .hardpair import VectorFunction, _strip_blocks, is_hard, make_hard, random_hard_plan
+from .hardpair import VectorFunction, hard_components, is_hard, make_hard, random_hard_plan
 from .hypergraph import Hypergraph, complete_uniform, cycle, path, random_hypergraph, t_fold
 from .instancefile import (
     Instance,
@@ -30,7 +30,7 @@ from .instancefile import (
     parse_instance,
 )
 from .partition import enforce_degree_bounds, solve
-from .structure import block_forest, blocks, components
+from .structure import blocks, components
 
 
 def _read_instance(path_arg: str) -> Instance:
@@ -96,16 +96,7 @@ def _answer(found, emit, certificates) -> int:
 
 def _cmd_is_hard(args) -> int:
     inst = _read_instance(args.file)
-    H, f = inst.H, _need_f(inst)
-    # a component is hard only with sum f = d at every vertex
-    loose = {v for v, vec in f.items() if sum(vec) != H.degree(v)}
-    residual = dict(f.items())
-    certs = {}
-    for comp, parts, rank in block_forest(H):
-        if comp.isdisjoint(loose):
-            cert = _strip_blocks(parts, rank, residual, f.p)
-            if cert is not None:
-                certs[comp] = cert
+    certs = {comp: cert for comp, cert in hard_components(inst.H, _need_f(inst)).items() if cert is not None}
     return _answer(None if certs else "not-hard\n", str, certs)
 
 

@@ -13,16 +13,19 @@ invalid), and `_has_shape` tests the block against tK_n or tC_n.  Both
 read a block as its vertex set and its edge multiset, each distinct
 incidence set mapped to its number of parallel edges, so no block is
 built as a `Hypergraph` and a t-fold edge is read once, not t times.
-Recognition (`is_hard`, `classify_block`), verification
-(`verify_certificate`) and construction (`make_hard`) all read these two.
-`_strip_blocks` decides one component from the rooted blocks that
-`structure.block_forest` gives it, recognising each block straight from
-its edge multiset and stripping the blocks in the order a depth-first
-search completes them: the value of f on a block's vertices other than
-the one it was entered through pins down that block's tag and share, and
-the shares must add up exactly at the shared vertices.  `is_hard` runs it
-on a connected pair, and `partition.solve` and the CLI on each tight
-component of one `block_forest` pass.
+Recognition (`hard_components`, `is_hard`, `classify_block`),
+verification (`verify_certificate`) and construction (`make_hard`) all
+read these two.
+
+`hard_components` is the one decider: from one `structure.block_forest`
+pass it decides every component, each by `_strip_blocks`, which
+recognises each block straight from its edge multiset and strips the
+blocks in the order a depth-first search completes them: the value of f
+on a block's vertices other than the one it was entered through pins
+down that block's tag and share, and the shares must add up exactly at
+the shared vertices.  The strip is total: it needs no sum f = d at the
+vertices, as a strip that succeeds proves it.  `is_hard` is the connected
+case, and `partition.solve` and the CLI's is-hard call `hard_components`.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
@@ -39,7 +42,7 @@ from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
-from .structure import RootedBlock, block_count, rooted_blocks
+from .structure import RootedBlock, block_count, block_forest, rooted_blocks
 
 
 class VectorFunction:
@@ -91,6 +94,8 @@ class VectorFunction:
         X = frozenset(X)
         if X == self._values.keys():
             return self
+        if not X <= self._values.keys():
+            raise ValueError(f"restrict: {sorted(X - self._values.keys())} are not in the domain")
         return VectorFunction(self.p, {v: self._values[v] for v in X})
 
     def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":
@@ -246,17 +251,31 @@ def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
 
 
 def is_hard(H: Hypergraph, f: VectorFunction) -> HardPairCertificate | None:
-    """Certificate of non-partitionability of a connected non-empty pair, or None.
+    """Certificate of non-partitionability of a connected non-empty pair, or
+    None: the connected case of `hard_components`.
 
-    None unless sum f = d at every vertex; otherwise the blocks of
-    `structure.rooted_blocks` are stripped as `_strip_blocks` describes.
+    Raises ValueError when f is not defined on exactly V(H), and when H is
+    empty or disconnected.
     """
-    parts, rank = rooted_blocks(H)
+    certs = list(hard_components(H, f).values())
+    if len(certs) != 1:
+        raise ValueError(f"is_hard: {'disconnected' if certs else 'empty'} hypergraph (use hard_components)")
+    return certs[0]
+
+
+def hard_components(H: Hypergraph, f: VectorFunction) -> dict[frozenset[str], HardPairCertificate | None]:
+    """Each component's vertex set, sorted by smallest vertex, mapped to the
+    certificate that H and f on it form a hard pair, or to None when they
+    do not.
+
+    Raises ValueError when f is not defined on exactly V(H).  One
+    `structure.block_forest` pass gives every component's blocks, and
+    `_strip_blocks` decides each component on one shared residual.
+    """
     if f.vertices != H.vertices:
         raise ValueError("vector function domain does not match the hypergraph")
-    if any(sum(vec) != H.degree(v) for v, vec in f.items()):
-        return None
-    return _strip_blocks(parts, rank, dict(f.items()), f.p)
+    residual = dict(f.items())
+    return {comp: _strip_blocks(parts, rank, residual, f.p) for comp, parts, rank in block_forest(H)}
 
 
 def _strip_blocks(
@@ -264,9 +283,8 @@ def _strip_blocks(
 ) -> HardPairCertificate | None:
     """Certificate that the component with these rooted blocks (as
     `structure.block_forest` gives them) is hard, or None.  residual holds
-    f on the component, with sum f = d at each vertex: the caller checks
-    that.  It is lowered at the entries as the blocks are stripped, so a
-    caller may share one residual among disjoint components.
+    f on the component; it is lowered at the entries as the blocks are
+    stripped, so disjoint components may share one residual.
 
     Strips the blocks in the order a depth-first search from the smallest
     vertex completes them, so every block goes after the blocks hanging
@@ -280,6 +298,14 @@ def _strip_blocks(
     tag and share: M needs at most one non-zero coordinate and K at least
     two, and tK_n != tC_n for n >= 5.  So a hard pair gives the same shares
     in every order, and any order that succeeds yields a valid certificate.
+
+    No test of sum f = d is needed: a strip that succeeds proves it.  Each
+    vertex is pinned in exactly one block, the one the search reached it
+    through (the last block for the root), after every block it is the
+    entry of, and a pinned share equals the residual there.  So f(v) is the
+    sum of v's shares, and a base block's share sums to d_B(v) at each of
+    its vertices: d_B(v) for M, t(n - 1) for tK_n and 2t for tC_n.  As
+    every edge lies in one block, these add up to d(v).
     """
     last = len(parts) - 1
     tags: list[BlockTypeTag | None] = [None] * len(parts)

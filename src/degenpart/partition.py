@@ -16,10 +16,9 @@ solve checks the domain and the degree hypothesis once.  Components with
 slack go straight to the finisher and need no block structure: one
 residual of the whole hypergraph is finished from each slack vertex, in
 name order, that is still unplaced, so each such component from its
-smallest slack vertex.  One structure.block_forest pass then gives the
-blocks of every tight component, and hardpair's strip of a component's
-blocks decides it: hard, with a certificate, or handed to the tight
-steps.
+smallest slack vertex.  hardpair.hard_components then decides every
+component of what is left, from one block pass: hard, with a
+certificate, or handed to the tight steps.
 
 Slack finisher.  A vertex s with sum f > d keeps that slack through
 every placement.  The vertices are placed farthest from s first
@@ -50,9 +49,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import is_strictly_degenerate
-from .hardpair import HardPairCertificate, VectorFunction, _strip_blocks, is_hard
+from .hardpair import HardPairCertificate, VectorFunction, hard_components, is_hard
 from .hypergraph import Hypergraph
-from .structure import block_forest, separating_vertices
+from .structure import separating_vertices
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +93,13 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
             if s in r.alive:
                 r.finish(s, assignment)
         tight = r.alive
-    T = H.induced(tight)
-    residual = dict(f.items())
-    for comp, parts, rank in block_forest(T):
-        cert = _strip_blocks(parts, rank, residual, f.p)
-        if cert is not None:
-            certs[comp] = cert
-        else:
-            _Residual(T.induced(comp), f, comp).tight_steps(assignment)
+    if tight:
+        T = H.induced(tight)
+        for comp, cert in hard_components(T, f.restrict(tight)).items():
+            if cert is None:
+                _Residual(T.induced(comp), f, comp).tight_steps(assignment)
+            else:
+                certs[comp] = cert
     if certs:
         return SolveResult(None, certs)
     if not verify_partition(H, f, assignment):

@@ -267,10 +267,11 @@ def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
 
 
 def reference_hard_components(H: dp.Hypergraph, f: dp.VectorFunction) -> dict:
-    """Reference: `is_hard` on each component, copied with `induced` and `restrict`."""
+    """Reference: `reference_is_hard` on each component, copied with
+    `induced` and `restrict`; only the hard components are kept."""
     certs = {}
     for comp in dp.components(H):
-        cert = dp.is_hard(H.induced(comp), f.restrict(comp))
+        cert = reference_is_hard(H.induced(comp), f.restrict(comp))
         if cert is not None:
             certs[comp] = cert
     return certs

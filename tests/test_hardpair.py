@@ -7,7 +7,14 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import balanced_plan, count_calls, reference_is_hard, reference_make_hard
+from conftest import (
+    balanced_plan,
+    count_calls,
+    disconnected_instance,
+    disjoint_union,
+    reference_is_hard,
+    reference_make_hard,
+)
 
 
 class TestVectorFunction:
@@ -28,6 +35,12 @@ class TestVectorFunction:
         f = VectorFunction(2, {"a": (1, 2), "b": (0, 0)})
         assert f.sum_at("a") == 3
         assert f.restrict(["a"]).vertices == {"a"}
+
+    def test_restrict_names_unknown_vertices(self):
+        # a ValueError, as Hypergraph.induced gives for the same mistake
+        f = VectorFunction(2, {"a": (1, 0)})
+        with pytest.raises(ValueError, match=r"restrict: \['y', 'zz'\] are not in the domain"):
+            f.restrict(["zz", "a", "y"])
 
     def test_coordinate(self):
         f = VectorFunction(2, {"a": (1, 2), "b": (0, 3)})
@@ -131,8 +144,12 @@ class TestIsHard:
 
     def test_disconnected_rejected(self):
         H = Hypergraph("abcd", {"e1": "ab", "e2": "cd"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disconnected"):
             dp.is_hard(H, VectorFunction.constant(H.vertices, (1,)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            dp.is_hard(Hypergraph(()), VectorFunction(1, {}))
 
     def test_residual_must_stay_nonnegative(self):
         # two triangles glued at m; f gives the glue vertex too little
@@ -368,6 +385,52 @@ class TestIsHardAtScale:
         j = rng.randrange(p)
         raised = f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
         assert dp.is_hard(H, raised) is None
+
+
+class TestStripIsTotal:
+    """No sum f = d test precedes the strip: a pair with sum f != d at some
+    vertex fails the strip itself, so every component gets a verdict."""
+
+    def test_one_coordinate_raised_or_lowered(self):
+        checked = 0
+        for seed in range(300):
+            p = 1 + seed % 4
+            H, f = dp.make_hard(dp.random_hard_plan(seed, max_blocks=10, p=p), p, seed=seed)
+            rng = random.Random(seed)
+            v = rng.choice(sorted(H.vertices))
+            i = rng.randrange(p)
+            for delta in (1, -1):
+                if f[v][i] + delta < 0:
+                    continue
+                g = f.with_value(v, tuple(x + delta * (k == i) for k, x in enumerate(f[v])))
+                assert dp.is_hard(H, g) is None and reference_is_hard(H, g) is None
+                # beside the untouched pair, decided in one call
+                U, h = disjoint_union([("a.", H, g), ("b.", H, f)])
+                got = dp.hard_components(U, h)
+                assert list(got) == dp.components(U)
+                for comp, cert in got.items():
+                    assert cert == reference_is_hard(U.induced(comp), h.restrict(comp))
+                assert [cert is None for cert in got.values()] == [True, False]
+                checked += 1
+        assert checked >= 400
+
+    def test_matches_reference_per_component(self):
+        # slack, tight-but-not-hard and hard components, and isolated vertices
+        hard = loose = 0
+        for seed in range(100):
+            H, f = disconnected_instance(seed)
+            got = dp.hard_components(H, f)
+            want = {comp: reference_is_hard(H.induced(comp), f.restrict(comp)) for comp in dp.components(H)}
+            assert list(got.items()) == list(want.items())
+            hard += sum(cert is not None for cert in got.values())
+            loose += sum(any(f.sum_at(v) != H.degree(v) for v in comp) for comp in got)
+        assert hard >= 50 and loose >= 50
+
+    def test_domain_checked(self):
+        H = Hypergraph("abcd", {"e1": "ab", "e2": "cd"})
+        with pytest.raises(ValueError, match="vector function domain does not match the hypergraph"):
+            dp.hard_components(H, VectorFunction.constant("abc", (1,)))
+        assert dp.hard_components(Hypergraph(()), VectorFunction(1, {})) == {}
 
 
 def _k4_with_pendant():

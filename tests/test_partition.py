@@ -178,10 +178,10 @@ class TestComplexity:
         f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
         partition_module = importlib.import_module("degenpart.partition")
         counts: dict[str, int] = {}
-        count_calls(monkeypatch, counts, partition_module, "_strip_blocks")
+        count_calls(monkeypatch, counts, partition_module, "hard_components")
         count_calls(monkeypatch, counts, partition_module, "reduce_pair")
         res = dp.solve(H, f)
-        assert counts == {"_strip_blocks": 1, "reduce_pair": 0}
+        assert counts == {"hard_components": 1, "reduce_pair": 0}
         assert res.partition["a"] == 1
         assert dp.verify_partition(H, f, res.partition)
 
@@ -195,11 +195,11 @@ class TestComplexity:
         partition_module = importlib.import_module("degenpart.partition")
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, partition_module, "is_hard")
-        count_calls(monkeypatch, counts, partition_module, "_strip_blocks")
+        count_calls(monkeypatch, counts, partition_module, "hard_components")
         count_calls(monkeypatch, counts, partition_module, "separating_vertices")
         count_calls(monkeypatch, counts, Hypergraph, "shrink_away")
         res = dp.solve(H, g)
-        assert counts == {"is_hard": 0, "_strip_blocks": 0, "separating_vertices": 0, "shrink_away": 0}
+        assert counts == {"is_hard": 0, "hard_components": 0, "separating_vertices": 0, "shrink_away": 0}
         assert dp.verify_partition(H, g, res.partition)
 
 
