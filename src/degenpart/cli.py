@@ -30,7 +30,7 @@ from .instancefile import (
     parse_instance,
 )
 from .partition import enforce_degree_bounds, solve
-from .structure import blocks, components
+from .structure import block_trees
 
 
 def _read_instance(path_arg: str) -> Instance:
@@ -56,8 +56,7 @@ def _need_lists(inst: Instance) -> dict[str, set[str]]:
 
 def _cmd_blocks(args) -> int:
     inst = _read_instance(args.file)
-    for comp in components(inst.H):
-        bt = blocks(inst.H.induced(comp))
+    for bt in block_trees(inst.H):
         print(f"blocks {len(bt.blocks)}")
         for i, b in enumerate(bt.blocks, 1):
             print(f"b {i} " + " ".join(sorted(b)))
@@ -128,26 +127,24 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.shape == "complete":
-        H = complete_uniform(args.n, args.q)
-    elif args.shape == "cycle":
-        H = cycle(args.n)
-    elif args.shape == "path":
-        H = path(args.n)
-    elif args.shape == "random":
-        H = random_hypergraph(
-            args.n, args.m, max_arity=args.max_arity, max_mult=args.max_mult,
-            seed=args.seed, connected=args.connected,
-        )
-    elif args.shape == "hard":
+    if args.shape == "hard":
         if args.t != 1:
             raise ValueError(f"gen hard builds no t-fold pairs: --t must be 1, got {args.t}")
         plan = random_hard_plan(args.seed, max_blocks=args.blocks, p=args.p)
         H, f = make_hard(plan, args.p, seed=args.seed)
         sys.stdout.write(emit_instance(H, f=f))
         return 0
-    else:
-        raise ValueError(f"unknown shape {args.shape!r}")
+    if args.shape == "complete":
+        H = complete_uniform(args.n, args.q)
+    elif args.shape == "cycle":
+        H = cycle(args.n)
+    elif args.shape == "path":
+        H = path(args.n)
+    else:  # "random": argparse admits only the five shapes
+        H = random_hypergraph(
+            args.n, args.m, max_arity=args.max_arity, max_mult=args.max_mult,
+            seed=args.seed, connected=args.connected,
+        )
     sys.stdout.write(emit_instance(t_fold(H, args.t)))
     return 0
 

@@ -17,7 +17,7 @@ from .hardpair import HardPairCertificate, VectorFunction
 from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, t_fold_complete_parameters, t_fold_cycle_parameters
 from .oracle import brute_partitionable
 from .partition import enforce_degree_bounds, solve
-from .structure import components, rooted_blocks
+from .structure import RootedBlock, block_forest, components
 
 Color = str | int
 
@@ -204,13 +204,14 @@ def chi_and_chi_list(H: Hypergraph) -> tuple[int, int]:
     raise AssertionError("unreachable: H is col(H)-choosable")
 
 
-def _degree_choosable(B: Hypergraph) -> bool:
-    """Connected B with lists of size exactly d_B(v): colorable for every
-    such list assignment iff some block breaks the bad-list construction,
-    which needs a single edge, a simple complete graph or a simple odd cycle."""
+def _degree_choosable(parts: list[RootedBlock]) -> bool:
+    """A component, given by its rooted blocks, with lists of size exactly
+    its degrees: colorable for every such list assignment iff some block
+    breaks the bad-list construction, which needs a single edge, a simple
+    complete graph or a simple odd cycle."""
     return not all(
         sum(es.values()) == 1 or _complete_shape(b, es) == (1, len(b)) or len(b) % 2 == 1 and _cycle_shape(b, es) == (1, len(b))
-        for _, b, es in rooted_blocks(B)[0]
+        for _, b, es in parts
     )
 
 
@@ -218,8 +219,9 @@ def is_k_choosable(H: Hypergraph, k: int) -> bool:
     """Proper colorings exist for every list assignment with |L(v)| = k.
 
     Vertices of degree below k are peeled off (always colorable last).
-    A k-regular stuck component is decided by its block shapes.  A stuck
-    component with degrees above k needs an explicit search over list
+    One `block_forest` pass gives every stuck component and its blocks; a
+    k-regular one is decided by its block shapes.  A stuck component with
+    degrees above k is copied out for an explicit search over list
     assignments, which is bounded by a fixed budget and raises once the
     instance is too large for an exact answer.
     """
@@ -231,14 +233,12 @@ def is_k_choosable(H: Hypergraph, k: int) -> bool:
     if wit:
         return True
     core = H.induced(wit.core)
-    for comp in components(core):
-        B = core.induced(comp)
-        if all(B.degree(v) == k for v in comp):
-            if not _degree_choosable(B):
+    for comp, parts, _ in block_forest(core):
+        if all(core.degree(v) == k for v in comp):
+            if not _degree_choosable(parts):
                 return False
-        else:
-            if _exists_bad_lists(B, k, _ADVERSARY_BUDGET):
-                return False
+        elif _exists_bad_lists(core.induced(comp), k, _ADVERSARY_BUDGET):
+            return False
     return True
 
 

@@ -42,7 +42,7 @@ from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
-from .structure import RootedBlock, block_count, block_forest, rooted_blocks
+from .structure import RootedBlock, block_forest, blocks, rooted_blocks
 
 
 class VectorFunction:
@@ -99,9 +99,10 @@ class VectorFunction:
         return VectorFunction(self.p, {v: self._values[v] for v in X})
 
     def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":
-        values = dict(self._values)
-        values[v] = tuple(vec)
-        return VectorFunction(self.p, values)
+        """f with the vector at v, a vertex of the domain, replaced by vec."""
+        if v not in self._values:
+            raise ValueError(f"with_value: {v!r} is not in the domain")
+        return VectorFunction(self.p, {**self._values, v: tuple(vec)})
 
     def coordinate(self, j: int) -> dict[str, int]:
         """The scalar function f_j (1-based)."""
@@ -244,7 +245,7 @@ def _recognize(
 
 def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
     """The base type of one block: is_hard's single tag, or None if no match."""
-    if block_count(B) != 1:
+    if len(blocks(B).blocks) != 1:
         raise ValueError("classify_block expects a connected block without separating vertices")
     cert = is_hard(B, fB)
     return cert.tags[0] if cert else None
@@ -418,7 +419,7 @@ def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:
     kind = plan[0]
     if kind == "M":
         _, B, j = plan
-        if block_count(B) != 1:
+        if len(blocks(B).blocks) != 1:
             raise ValueError("M plan block must be connected without separating vertices")
         return B, MTag(j)
     if kind == "K":

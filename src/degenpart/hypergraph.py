@@ -20,7 +20,8 @@ class Hypergraph:
     """A finite multihypergraph: vertex set plus a multiset of edges.
 
     Every edge is incident to at least two distinct vertices (no loops);
-    parallel edges are allowed and kept as separate records.
+    parallel edges are allowed and kept as separate records, stored in
+    sorted-id order: `edge_ids`, `edges()` and `edges_at` all follow it.
     """
 
     __slots__ = ("_vertices", "_incidence", "_edge_order", "_at")
@@ -28,7 +29,9 @@ class Hypergraph:
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, Iterable[str]] = ()):
         vs = frozenset(vertices)
         incidence: dict[str, frozenset[str]] = {}
-        for eid, members in dict(edges).items():
+        at: dict[str, list[str]] = {v: [] for v in vs}
+        for eid in sorted(edges):
+            members = edges[eid]
             if isinstance(members, frozenset):  # a set cannot repeat a vertex
                 mset = members
             else:
@@ -41,13 +44,11 @@ class Hypergraph:
             if not mset <= vs:
                 raise ValueError(f"edge {eid!r} mentions unknown vertices {sorted(mset - vs)}")
             incidence[eid] = mset
+            for v in mset:
+                at[v].append(eid)
         self._vertices = vs
         self._incidence = incidence
-        self._edge_order = tuple(sorted(incidence))
-        at: dict[str, list[str]] = {v: [] for v in vs}
-        for eid in self._edge_order:
-            for v in incidence[eid]:
-                at[v].append(eid)
+        self._edge_order = tuple(incidence)
         self._at = {v: tuple(es) for v, es in at.items()}
 
     # -- basic accessors ------------------------------------------------
@@ -64,7 +65,7 @@ class Hypergraph:
         return self._incidence[eid]
 
     def edges(self) -> dict[str, frozenset[str]]:
-        """Edge id -> incidence set, as a fresh dict."""
+        """Edge id -> incidence set, as a fresh dict in edge_ids order."""
         return dict(self._incidence)
 
     @property
@@ -128,15 +129,15 @@ class Hypergraph:
     # -- restriction operators ------------------------------------------
 
     def induced(self, X: Iterable[str]) -> "Hypergraph":
-        """Subhypergraph on X keeping edges whose whole incidence set lies in X;
-        H itself when X is the whole vertex set."""
+        """Subhypergraph on X keeping edges whose whole incidence set lies in X,
+        read from the edges at X; H itself when X is the whole vertex set."""
         X = frozenset(X)
         if X == self._vertices:
             return self
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
-        kept = {e: m for e, m in self._incidence.items() if m <= X}
-        return Hypergraph(X, kept)
+        met = {e for v in X for e in self._at[v]}
+        return Hypergraph(X, {e: m for e in met if (m := self._incidence[e]) <= X})
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
         """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X;

@@ -119,7 +119,7 @@ def emit_instance(
     if lists is not None:
         for v in sorted(lists):
             out.append("l " + v + " " + " ".join(sorted(lists[v])))
-    for e in sorted(H.edge_ids):
+    for e in H.edge_ids:
         out.append("e " + e + " " + " ".join(sorted(H.incidence(e))))
     return "\n".join(out) + "\n"
 

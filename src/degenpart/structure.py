@@ -17,7 +17,8 @@ vertex left undiscovered.  `block_forest` gives, from that one pass, every
 component's vertex set and blocks, each block with its entry and its edges
 as an edge multiset: each distinct incidence set mapped to the number of
 parallel edges on it, the form in which the hard-pair layer reads a block.
-`rooted_blocks` is its connected case.
+`block_trees` reads the same pass as one BlockTree per component;
+`rooted_blocks` and `blocks` are the connected cases of the two.
 """
 
 from __future__ import annotations
@@ -197,29 +198,12 @@ T = TypeVar("T")
 
 
 def _one_tree(forest: list[T]) -> T:
-    """The only component's entry of a forest; ValueError for an empty or
-    disconnected hypergraph."""
+    """The only component's entry of a forest; ValueError for an empty or disconnected H."""
     if not forest:
         raise ValueError("blocks: empty hypergraph")
     if len(forest) > 1:
         raise ValueError("blocks: disconnected hypergraph (iterate components)")
     return forest[0]
-
-
-def block_count(H: Hypergraph) -> int:
-    """The number of blocks of a connected non-empty hypergraph, from the
-    depth-first search alone: no edge is assigned and no block sorted."""
-    forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H.edges().values())))
-    return len(_one_tree(forest))
-
-
-def blocks(H: Hypergraph) -> BlockTree:
-    """Block decomposition of a connected non-empty hypergraph."""
-    adj = _skeleton_adjacency(H.vertices, set(H.edges().values()))
-    forest, _ = _dfs_forest(adj)
-    found = _one_tree(forest)
-    vsets = [found[k][1] for k in _block_order(found, adj)]
-    return BlockTree(tuple(vsets), _in_two_or_more(vsets))
 
 
 RootedBlock = tuple[str, frozenset[str], dict[frozenset[str], int]]
@@ -270,3 +254,19 @@ def rooted_blocks(H: Hypergraph) -> tuple[list[RootedBlock], list[int]]:
     blocks, in completion order, and their indices in BlockTree order."""
     _, parts, rank = _one_tree(block_forest(H))
     return parts, rank
+
+
+def block_trees(H: Hypergraph) -> list[BlockTree]:
+    """Every component's BlockTree, sorted by smallest vertex, from one
+    `block_forest` pass."""
+    out = []
+    for _, parts, rank in block_forest(H):
+        vsets = [parts[k][1] for k in rank]
+        out.append(BlockTree(tuple(vsets), _in_two_or_more(vsets)))
+    return out
+
+
+def blocks(H: Hypergraph) -> BlockTree:
+    """Block decomposition of a connected non-empty hypergraph: the
+    connected case of `block_trees`."""
+    return _one_tree(block_trees(H))

@@ -244,7 +244,7 @@ def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
     """Reference: the solver driven one component at a time, as `components`
     lists them.  A component with slack is finished from its smallest slack
     vertex; a tight one is copied with `induced` and `restrict` and handed
-    to `is_hard`, and, when not hard, to the tight steps."""
+    to `reference_is_hard`, and, when not hard, to the tight steps."""
     _check_domain(H, f)
     slack = _slack(H, f)
     assignment: dict[str, int] = {}
@@ -255,7 +255,7 @@ def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
             continue
         Hc = H.induced(comp)
         fc = f.restrict(comp)
-        cert = dp.is_hard(Hc, fc)
+        cert = reference_is_hard(Hc, fc)
         if cert is not None:
             certs[comp] = cert
             continue

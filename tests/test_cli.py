@@ -8,6 +8,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.cli import main
+from degenpart import structure
 from degenpart.hardpair import VectorFunction
 from degenpart.instancefile import (
     emit_certificates,
@@ -19,6 +20,7 @@ from degenpart.instancefile import (
 )
 from conftest import (
     balanced_plan,
+    count_calls,
     disconnected_instance,
     disjoint_union,
     reference_hard_components,
@@ -99,6 +101,24 @@ class TestCommands:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "blocks 2"
         assert out[-1] == "cut b"
+
+    def test_blocks_of_every_component_from_one_pass(self, tmp_path, monkeypatch, capsys):
+        # the reference copies each component out and decomposes it alone
+        H, _ = disconnected_instance(4)
+        want = []
+        for comp in dp.components(H):
+            bt = dp.blocks(H.induced(comp))
+            want.append(f"blocks {len(bt.blocks)}")
+            want += [f"b {i} " + " ".join(sorted(b)) for i, b in enumerate(bt.blocks, 1)]
+            want.append("cut" + "".join(" " + v for v in sorted(bt.cut_vertices)))
+        assert len(dp.components(H)) >= 4 and want.count("blocks 1") < len(dp.components(H))
+        path = write(tmp_path, "h.hg", emit_instance(H))
+        counts = {}
+        for owner, name in ((structure, "block_forest"), (structure, "components"), (dp.Hypergraph, "induced")):
+            count_calls(monkeypatch, counts, owner, name)
+        assert main(["blocks", path]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert counts == {"block_forest": 1, "components": 0, "induced": 0}
 
     def test_degenerate(self, tmp_path, capsys):
         H = dp.path(3)

@@ -4,10 +4,11 @@ import random
 import pytest
 
 import degenpart as dp
+from degenpart import coloring
 from degenpart.coloring import _colorable_with, _exists_bad_lists
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import petersen
+from conftest import count_calls, disjoint_union, petersen
 
 
 class TestListToVector:
@@ -239,6 +240,26 @@ class TestChoosability:
             structured = dp.is_k_choosable(H, k)
             brute = not _exists_bad_lists(H, k, budget=10**6)
             assert structured == brute
+
+    @pytest.mark.parametrize(
+        "parts, k, searched",
+        [
+            ((dp.cycle(4), dp.cycle(6), dp.cycle(8)), 2, 0),
+            ((dp.cycle(6), dp.cycle(5), dp.cycle(4)), 2, 0),
+            ((dp.cycle(4), dp.complete_uniform(4, 2), dp.cycle(7)), 3, 0),
+            ((dp.cycle(6), dp.complete_uniform(4, 2)), 2, 1),
+        ],
+    )
+    def test_components_from_one_block_pass(self, parts, k, searched, monkeypatch):
+        # disjoint cycles and cliques: one block_forest pass over the core,
+        # and a copy only of the component that needs the list search
+        H, _ = disjoint_union([(f"c{i}.", P, VectorFunction.constant(P.vertices, (1,))) for i, P in enumerate(parts)])
+        want = all(dp.is_k_choosable(P, k) for P in parts)
+        counts = {}
+        count_calls(monkeypatch, counts, coloring, "block_forest")
+        count_calls(monkeypatch, counts, dp.Hypergraph, "induced")
+        assert dp.is_k_choosable(H, k) == want
+        assert counts == {"block_forest": 1, "induced": 1 + searched}
 
     def test_colorable_with_is_sound(self):
         H = dp.cycle(5)

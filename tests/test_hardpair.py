@@ -42,6 +42,13 @@ class TestVectorFunction:
         with pytest.raises(ValueError, match=r"restrict: \['y', 'zz'\] are not in the domain"):
             f.restrict(["zz", "a", "y"])
 
+    def test_with_value_names_unknown_vertex(self):
+        # a vertex outside the domain is an error here, not later in solve
+        f = VectorFunction(2, {"a": (1, 0)})
+        assert f.with_value("a", (0, 1))["a"] == (0, 1)
+        with pytest.raises(ValueError, match=r"with_value: 'zz' is not in the domain"):
+            f.with_value("zz", (1, 1))
+
     def test_coordinate(self):
         f = VectorFunction(2, {"a": (1, 2), "b": (0, 3)})
         assert f.coordinate(2) == {"a": 2, "b": 3}

@@ -7,6 +7,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
+from conftest import disconnected_instance
 
 
 def triple_edge():
@@ -98,6 +99,29 @@ class TestOperators:
         assert set(G.edge_ids) == {e for e in H.edge_ids if "v1" not in H.incidence(e)}
         assert g is not f and g.vertices == X
         assert all(g[v] == f[v] for v in X)
+
+    def test_induced_matches_whole_edge_scan(self, sweep):
+        # induced reads only the edges at X; the copy equals the one built
+        # from every edge of H, and keeps its edges in sorted-id order
+        rng = random.Random(7)
+        graphs = list({id(r.H): r.H for r in sweep.records}.values())
+        graphs += [disconnected_instance(seed)[0] for seed in range(30)]
+        disconnected = 0
+        for H in graphs:
+            vs = sorted(H.vertices)
+            for X in [H.vertices, *(rng.sample(vs, rng.randint(0, len(vs))) for _ in range(3))]:
+                X = frozenset(X)
+                G = H.induced(X)
+                assert G == Hypergraph(X, {e: m for e, m in H.edges().items() if m <= X})
+                assert list(G.edges()) == sorted(G.edges()) == list(G.edge_ids)
+                assert all(list(G.edges_at(v)) == sorted(G.edges_at(v)) for v in X)
+                disconnected += len(dp.components(G)) > 1
+        assert len(graphs) >= 1000 and disconnected >= 300
+
+    def test_edges_in_sorted_id_order(self):
+        H = Hypergraph("abcd", {"e3": "cd", "e1": "ab", "e10": "bc", "e2": "da"})
+        assert list(H.edges()) == list(H.edge_ids) == ["e1", "e10", "e2", "e3"]
+        assert H.edges_at("d") == ("e2", "e3")
 
     def test_induced_drops_partial_hyperedge(self):
         H = triple_edge().induced("ab")

@@ -8,7 +8,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
-from degenpart.structure import _skeleton_adjacency, block_count, block_forest, blocks, rooted_blocks
+from degenpart.structure import _skeleton_adjacency, block_forest, blocks, rooted_blocks
 from conftest import disconnected_instance
 
 
@@ -304,14 +304,6 @@ class TestBlockForest:
 
     def test_empty(self):
         assert block_forest(Hypergraph(())) == []
-
-    def test_block_count(self):
-        for H in _block_order_corpus():
-            assert block_count(H) == len(rooted_blocks(H)[0])
-        with pytest.raises(ValueError, match="empty"):
-            block_count(Hypergraph(()))
-        with pytest.raises(ValueError, match="disconnected"):
-            block_count(Hypergraph("abcd", {"e1": "ab", "e2": "cd"}))
 
     def test_independent_of_hash_seed(self):
         script = (
