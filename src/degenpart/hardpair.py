@@ -46,23 +46,31 @@ from .structure import RootedBlock, block_forest, blocks, rooted_blocks
 
 
 class VectorFunction:
-    """Map from vertices to length-p tuples of non-negative integers."""
+    """Map from vertices to length-p tuples of non-negative integers.
+
+    One store step, `_store`, sets the fields.  The constructor checks every
+    vector and then stores them; `restrict`, `with_value` and the instance
+    reader, whose vectors are already checked, call the store step through
+    `_of`.
+    """
 
     __slots__ = ("p", "_values")
 
     def __init__(self, p: int, values: Mapping[str, Sequence[int]]):
         if p < 1:
             raise ValueError(f"vector function needs p >= 1, got {p}")
-        store: dict[str, tuple[int, ...]] = {}
-        for v, vec in dict(values).items():
-            vec = tuple(vec)
-            if len(vec) != p:
-                raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
-            if min(vec) < 0:  # p >= 1
-                raise ValueError(f"vector at {v!r} has a negative entry")
-            store[v] = vec
+        self._store(p, {v: _vector(p, v, vec) for v, vec in dict(values).items()})
+
+    def _store(self, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
+        """Set the fields from checked parts, taken as given, and return self."""
         self.p = p
-        self._values = store
+        self._values = values
+        return self
+
+    @classmethod
+    def _of(cls, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
+        """f of p >= 1 and length-p tuples of non-negative integers, unchecked."""
+        return cls.__new__(cls)._store(p, values)
 
     @classmethod
     def constant(cls, vertices: Iterable[str], vec: Sequence[int]) -> "VectorFunction":
@@ -96,13 +104,13 @@ class VectorFunction:
             return self
         if not X <= self._values.keys():
             raise ValueError(f"restrict: {sorted(X - self._values.keys())} are not in the domain")
-        return VectorFunction(self.p, {v: self._values[v] for v in X})
+        return VectorFunction._of(self.p, {v: self._values[v] for v in X})
 
     def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":
         """f with the vector at v, a vertex of the domain, replaced by vec."""
         if v not in self._values:
             raise ValueError(f"with_value: {v!r} is not in the domain")
-        return VectorFunction(self.p, {**self._values, v: tuple(vec)})
+        return VectorFunction._of(self.p, {**self._values, v: _vector(self.p, v, vec)})
 
     def coordinate(self, j: int) -> dict[str, int]:
         """The scalar function f_j (1-based)."""
@@ -117,6 +125,16 @@ class VectorFunction:
 
     def __repr__(self) -> str:
         return f"VectorFunction(p={self.p}, {len(self._values)} vertices)"
+
+
+def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
+    """vec as a tuple, checked to be p >= 1 non-negative entries."""
+    vec = tuple(vec)
+    if len(vec) != p:
+        raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
+    if min(vec) < 0:  # p >= 1
+        raise ValueError(f"vector at {v!r} has a negative entry")
+    return vec
 
 
 # -- block type tags ----------------------------------------------------

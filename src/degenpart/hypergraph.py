@@ -22,6 +22,10 @@ class Hypergraph:
     Every edge is incident to at least two distinct vertices (no loops);
     parallel edges are allowed and kept as separate records, stored in
     sorted-id order: `edge_ids`, `edges()` and `edges_at` all follow it.
+
+    One store step, `_store`, sets every field.  The constructor checks its
+    input and then stores it; `induced`, `shrink` and the instance reader,
+    whose edges are already checked, call the store step through `_of`.
     """
 
     __slots__ = ("_vertices", "_incidence", "_edge_order", "_at")
@@ -46,10 +50,27 @@ class Hypergraph:
             incidence[eid] = mset
             for v in mset:
                 at[v].append(eid)
-        self._vertices = vs
+        self._store(vs, incidence, at)
+
+    def _store(self, vertices: frozenset[str], incidence: dict[str, frozenset[str]],
+               at: Mapping[str, Iterable[str]]) -> "Hypergraph":
+        """Set every field from parts taken as given, and return self.
+
+        The caller guarantees what the constructor checks: each incidence set
+        is a frozenset of two or more vertices; `incidence` is in sorted-id
+        order; `at` maps each vertex to the ids of its edges in that order.
+        """
+        self._vertices = vertices
         self._incidence = incidence
         self._edge_order = tuple(incidence)
         self._at = {v: tuple(es) for v, es in at.items()}
+        return self
+
+    @classmethod
+    def _of(cls, vertices: frozenset[str], incidence: dict[str, frozenset[str]],
+            at: Mapping[str, Iterable[str]]) -> "Hypergraph":
+        """The hypergraph of checked parts, through the store step alone."""
+        return cls.__new__(cls)._store(vertices, incidence, at)
 
     # -- basic accessors ------------------------------------------------
 
@@ -137,7 +158,8 @@ class Hypergraph:
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
         met = {e for v in X for e in self._at[v]}
-        return Hypergraph(X, {e: m for e in met if (m := self._incidence[e]) <= X})
+        kept = {e: m for e in sorted(met) if (m := self._incidence[e]) <= X}
+        return Hypergraph._of(X, kept, {v: [e for e in self._at[v] if e in kept] for v in X})
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
         """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X;
@@ -148,11 +170,14 @@ class Hypergraph:
         if not X <= self._vertices:
             raise ValueError(f"shrink: {sorted(X - self._vertices)} are not vertices")
         kept = {}
+        at: dict[str, list[str]] = {v: [] for v in X}
         for e, m in self._incidence.items():
             cut = m & X
             if len(cut) >= 2:
                 kept[e] = cut
-        return Hypergraph(X, kept)
+                for v in cut:
+                    at[v].append(e)
+        return Hypergraph._of(X, kept, at)
 
     def shrink_away(self, X: Iterable[str] | str) -> "Hypergraph":
         """H / X, i.e. the hypergraph shrunk to the complement of X."""

@@ -17,11 +17,16 @@ has, for each block 1 <= i <= n, one 'b <i> <vertices>', one 't <i> M <j>'
 (or 'K <t> <counts>' or 'C <t> <k> <l>') and one 'f <i> <vertex> <values>'
 per block vertex.
 
-One splitter reads every kind of file: the header comes first, a record
-before it is an error, and every number is an ASCII decimal (no sign, no
-'_').  The parse_* readers raise ParseError naming the offending line, and
-every emitted answer reads back: the emit_* writers raise ValueError for a
-name that could not, one that is empty or holds whitespace or '#'.
+One lazy line splitter reads every kind of file: the header comes first, a
+record before it is an error, and every number is an ASCII decimal (no
+sign, no '_').  The answer readers group its lines into header blocks.
+parse_instance reads them in one pass: each record is checked as it is
+read and goes straight into the vertex, edge, edge-index and f-value dicts,
+which Hypergraph and VectorFunction then store without checking again.  A
+header fault anywhere in a file is reported ahead of a record fault.  The
+parse_* readers raise ParseError naming the offending line, and every
+emitted answer reads back: the emit_* writers raise ValueError for a name
+that could not, one that is empty or holds whitespace or '#'.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .hardpair import CTag, HardPairCertificate, KTag, MTag, VectorFunction
 from .hypergraph import Hypergraph
@@ -50,34 +56,33 @@ class Instance:
 
 
 def parse_instance(text: str) -> Instance:
-    (p,), records = _one_block(text, "hg <p>")
-    vertices: dict[str, tuple[int, ...] | None] = {}
+    try:
+        return _read_instance(text)
+    except ParseError:
+        # A header fault anywhere in the file comes first, as the block
+        # splitter reports it.  _read_instance stops at a second 'hg' line
+        # as an unknown record, and the splitter names it.
+        _one_block(text, "hg <p>")
+        raise
+
+
+def _read_instance(text: str) -> Instance:
+    """parse_instance's one pass over the lines (see the module docstring)."""
+    lines = _lines(text)
+    line_no, tok = next(lines, (0, [""]))
+    if tok[0] != "hg":
+        raise ParseError(line_no, "missing 'hg <p>' header")
+    if len(tok) != 2:
+        raise ParseError(line_no, "header must be 'hg <p>'")
+    (p,) = _ints(line_no, tok[1:])
+    at: dict[str, list[str]] = {}  # vertex -> ids of its edges, in file order
+    values: dict[str, tuple[int, ...]] = {}
+    vectors: dict[tuple[str, ...], tuple[int, ...]] = {}  # each distinct text read once
     lists: dict[str, set[str]] = {}
     edges: dict[str, frozenset[str]] = {}
-    for line_no, tok in records:
+    for line_no, tok in lines:
         kind = tok[0]
-        if kind == "v":
-            if len(tok) < 2:
-                raise ParseError(line_no, "vertex line needs a name")
-            name = tok[1]
-            if name in vertices:
-                raise ParseError(line_no, f"duplicate vertex {name!r}")
-            vals = tok[2:]
-            if len(vals) != p:
-                raise ParseError(line_no, f"expected {p} values for vertex {name!r}, got {len(vals)}")
-            vertices[name] = _ints(line_no, vals) if p else None
-        elif kind == "l":
-            if p != 0:
-                raise ParseError(line_no, "list lines require a 'hg 0' header")
-            if len(tok) < 3:
-                raise ParseError(line_no, "list line needs a vertex and at least one color")
-            name = tok[1]
-            if name not in vertices:
-                raise ParseError(line_no, f"list for unknown vertex {name!r}")
-            if name in lists:
-                raise ParseError(line_no, f"duplicate list for {name!r}")
-            lists[name] = set(tok[2:])
-        elif kind == "e":
+        if kind == "e":
             if len(tok) < 4:
                 raise ParseError(line_no, "edge line needs a name and at least two vertices")
             name = tok[1]
@@ -87,17 +92,51 @@ def parse_instance(text: str) -> Instance:
             mset = frozenset(members)
             if len(mset) != len(members):
                 raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
-            if not vertices.keys() >= mset:
-                unknown = [v for v in members if v not in vertices]
-                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
+            try:
+                for v in members:
+                    at[v].append(name)
+            except KeyError:
+                unknown = [v for v in members if v not in at]
+                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}") from None
             edges[name] = mset
+        elif kind == "v":
+            if len(tok) < 2:
+                raise ParseError(line_no, "vertex line needs a name")
+            name = tok[1]
+            if name in at:
+                raise ParseError(line_no, f"duplicate vertex {name!r}")
+            if len(tok) - 2 != p:
+                raise ParseError(line_no, f"expected {p} values for vertex {name!r}, got {len(tok) - 2}")
+            at[name] = []
+            if p:
+                words = tuple(tok[2:])
+                vec = vectors.get(words)
+                if vec is None:
+                    vec = vectors[words] = _ints(line_no, words)
+                values[name] = vec
+        elif kind == "l":
+            if p != 0:
+                raise ParseError(line_no, "list lines require a 'hg 0' header")
+            if len(tok) < 3:
+                raise ParseError(line_no, "list line needs a vertex and at least one color")
+            name = tok[1]
+            if name not in at:
+                raise ParseError(line_no, f"list for unknown vertex {name!r}")
+            if name in lists:
+                raise ParseError(line_no, f"duplicate list for {name!r}")
+            lists[name] = set(tok[2:])
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
-    if lists and len(lists) != len(vertices):  # every listed vertex is known
-        line_no = next(line_no for line_no, tok in records if tok[0] == "v" and tok[1] not in lists)
-        raise ParseError(line_no, f"vertices without lists: {sorted(vertices.keys() - lists.keys())}")
-    H = Hypergraph(vertices, edges)
-    f = VectorFunction(p, vertices) if p else None
+    if lists and len(lists) != len(at):  # every listed vertex is known
+        line_no = next(line_no for line_no, tok in _lines(text) if tok[0] == "v" and tok[1] not in lists)
+        raise ParseError(line_no, f"vertices without lists: {sorted(at.keys() - lists.keys())}")
+    ids = sorted(edges)
+    if ids != list(edges):  # the store step takes edges in sorted-id order
+        edges = {e: edges[e] for e in ids}
+        for es in at.values():
+            es.sort()
+    H = Hypergraph._of(frozenset(at), edges, at)
+    f = VectorFunction._of(p, values) if p else None
     return Instance(H, p, f, lists or None)
 
 
@@ -216,18 +255,21 @@ def parse_certificates(text: str) -> list[HardPairCertificate]:
     return certs
 
 
-def _split(text: str, header: str) -> list[tuple[int, tuple[int, ...], list[tuple[int, list[str]]]]]:
-    """(line, numbers, [(line, words) of its records]) for each header line;
-    '#' starts a comment."""
-    word, *params = header.split()
-    blocks: list = []
-    records = None
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, words) of each line that has words, lazily; '#' starts
+    a comment.  Every reader reads its file through this one splitter."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.partition("#")[0] for raw in lines]
-    for line_no, tok in enumerate(map(str.split, lines), 1):
-        if not tok:
-            continue
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
+
+
+def _split(text: str, header: str) -> list[tuple[int, tuple[int, ...], list[tuple[int, list[str]]]]]:
+    """(line, numbers, [(line, words) of its records]) for each header line."""
+    word, *params = header.split()
+    blocks: list = []
+    records = None
+    for line_no, tok in _lines(text):
         if tok[0] == word:
             if len(tok) != 1 + len(params):
                 raise ParseError(line_no, f"header must be {header!r}")

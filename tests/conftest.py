@@ -19,6 +19,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
+from degenpart.instancefile import Instance, ParseError
 from degenpart.partition import _check_domain, _Residual, _slack
 
 SWEEP_SEED = 20260823
@@ -477,3 +478,106 @@ def petersen() -> dp.Hypergraph:
     edges = {f"e{k}": ab for k, ab in enumerate(outer + inner + spokes, 1)}
     verts = [v for ab in edges.values() for v in ab]
     return dp.Hypergraph(set(verts), edges)
+
+
+# -- reference instance reader --------------------------------------------
+#
+# The instance reader as it was before it read in one pass: a records list
+# from the block splitter, then one check per record, and the validating
+# Hypergraph and VectorFunction constructors.  Copied with its splitter and
+# integer reader, renamed, so that it shares no parsing code with the reader
+# under test.
+
+
+def reference_parse_instance(text: str) -> Instance:
+    (p,), records = _reference_one_block(text, "hg <p>")
+    vertices: dict[str, tuple[int, ...] | None] = {}
+    lists: dict[str, set[str]] = {}
+    edges: dict[str, frozenset[str]] = {}
+    for line_no, tok in records:
+        kind = tok[0]
+        if kind == "v":
+            if len(tok) < 2:
+                raise ParseError(line_no, "vertex line needs a name")
+            name = tok[1]
+            if name in vertices:
+                raise ParseError(line_no, f"duplicate vertex {name!r}")
+            vals = tok[2:]
+            if len(vals) != p:
+                raise ParseError(line_no, f"expected {p} values for vertex {name!r}, got {len(vals)}")
+            vertices[name] = _reference_ints(line_no, vals) if p else None
+        elif kind == "l":
+            if p != 0:
+                raise ParseError(line_no, "list lines require a 'hg 0' header")
+            if len(tok) < 3:
+                raise ParseError(line_no, "list line needs a vertex and at least one color")
+            name = tok[1]
+            if name not in vertices:
+                raise ParseError(line_no, f"list for unknown vertex {name!r}")
+            if name in lists:
+                raise ParseError(line_no, f"duplicate list for {name!r}")
+            lists[name] = set(tok[2:])
+        elif kind == "e":
+            if len(tok) < 4:
+                raise ParseError(line_no, "edge line needs a name and at least two vertices")
+            name = tok[1]
+            if name in edges:
+                raise ParseError(line_no, f"duplicate edge {name!r}")
+            members = tok[2:]
+            mset = frozenset(members)
+            if len(mset) != len(members):
+                raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
+            if not vertices.keys() >= mset:
+                unknown = [v for v in members if v not in vertices]
+                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
+            edges[name] = mset
+        else:
+            raise ParseError(line_no, f"unknown record {kind!r}")
+    if lists and len(lists) != len(vertices):  # every listed vertex is known
+        line_no = next(line_no for line_no, tok in records if tok[0] == "v" and tok[1] not in lists)
+        raise ParseError(line_no, f"vertices without lists: {sorted(vertices.keys() - lists.keys())}")
+    H = dp.Hypergraph(vertices, edges)
+    f = dp.VectorFunction(p, vertices) if p else None
+    return Instance(H, p, f, lists or None)
+
+
+def _reference_split(text: str, header: str) -> list[tuple[int, tuple[int, ...], list[tuple[int, list[str]]]]]:
+    """(line, numbers, [(line, words) of its records]) for each header line;
+    '#' starts a comment."""
+    word, *params = header.split()
+    blocks: list = []
+    records = None
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    for line_no, tok in enumerate(map(str.split, lines), 1):
+        if not tok:
+            continue
+        if tok[0] == word:
+            if len(tok) != 1 + len(params):
+                raise ParseError(line_no, f"header must be {header!r}")
+            records = []
+            blocks.append((line_no, _reference_ints(line_no, tok[1:]), records))
+        elif records is None:
+            raise ParseError(line_no, f"missing {header!r} header")
+        else:
+            records.append((line_no, tok))
+    if not blocks:
+        raise ParseError(0, f"missing {header!r} header")
+    return blocks
+
+
+def _reference_one_block(text: str, header: str) -> tuple[tuple[int, ...], list[tuple[int, list[str]]]]:
+    (_, args, records), *more = _reference_split(text, header)
+    if more:
+        raise ParseError(more[0][0], "duplicate header")
+    return args, records
+
+
+def _reference_ints(line_no: int, words: list[str]) -> tuple[int, ...]:
+    """ASCII decimals; split() yields no empty word, so checking the join checks each."""
+    joined = "".join(words)
+    if not (joined.isascii() and joined.isdigit()) and words:
+        bad = next(w for w in words if not (w.isascii() and w.isdigit()))
+        raise ParseError(line_no, f"expected a non-negative integer, got {bad!r}")
+    return tuple(map(int, words))

@@ -49,6 +49,15 @@ class TestVectorFunction:
         with pytest.raises(ValueError, match=r"with_value: 'zz' is not in the domain"):
             f.with_value("zz", (1, 1))
 
+    def test_with_value_checks_the_new_vector(self):
+        # the other vectors are stored as they are; the new one is checked
+        f = VectorFunction(2, {"a": (1, 0), "b": (0, 1)})
+        assert f.with_value("b", [2, 3]) == VectorFunction(2, {"a": (1, 0), "b": (2, 3)})
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            f.with_value("a", (1,))
+        with pytest.raises(ValueError, match="negative"):
+            f.with_value("a", (1, -1))
+
     def test_coordinate(self):
         f = VectorFunction(2, {"a": (1, 2), "b": (0, 3)})
         assert f.coordinate(2) == {"a": 2, "b": 3}

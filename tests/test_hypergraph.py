@@ -118,6 +118,22 @@ class TestOperators:
                 disconnected += len(dp.components(G)) > 1
         assert len(graphs) >= 1000 and disconnected >= 300
 
+    def test_shrink_matches_constructor(self, sweep):
+        # shrink stores its truncated edges without a second check; the
+        # value equals the one the validating constructor builds, in the
+        # same sorted-id order
+        rng = random.Random(11)
+        graphs = list({id(r.H): r.H for r in sweep.records}.values())[:300]
+        graphs += [dp.random_hypergraph(12, 14, max_arity=4, seed=seed) for seed in range(30)]
+        for H in graphs:
+            vs = sorted(H.vertices)
+            for X in (frozenset(rng.sample(vs, rng.randint(0, len(vs) - 1))) for _ in range(3)):
+                G = H.shrink(X)
+                kept = {e: m & X for e, m in H.edges().items() if len(m & X) >= 2}
+                assert G == Hypergraph(X, kept)
+                assert G.edge_ids == Hypergraph(X, kept).edge_ids == tuple(sorted(kept))
+                assert all(G.edges_at(v) == Hypergraph(X, kept).edges_at(v) for v in X)
+
     def test_edges_in_sorted_id_order(self):
         H = Hypergraph("abcd", {"e3": "cd", "e1": "ab", "e10": "bc", "e2": "da"})
         assert list(H.edges()) == list(H.edge_ids) == ["e1", "e10", "e2", "e3"]

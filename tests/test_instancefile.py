@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import degenpart as dp
 from degenpart.cli import main
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
+from conftest import reference_parse_instance
 from degenpart.instancefile import (
+    Instance,
     ParseError,
     emit_certificate,
     emit_certificates,
@@ -21,6 +25,27 @@ from degenpart.instancefile import (
     parse_instance,
     parse_partition,
 )
+
+
+ERROR_CASES = [
+    ("v a 1\n", 1, "missing"),
+    ("hg 2\nv a 1\n", 2, "expected 2 values"),
+    ("hg 1\nv a 1\nv a 1\n", 3, "duplicate vertex"),
+    ("hg 1\nv a 1\ne e1 a a\n", 3, "loop"),
+    ("hg 1\nv a 1\nv b 1\ne e1 a b c\n", 4, "unknown vertices"),
+    ("hg 1\nv a -1\n", 2, "negative"),
+    ("hg 1\nhg 1\n", 2, "duplicate header"),
+    ("hg 1\nv a 1\nl a 1\n", 3, "hg 0"),
+    ("hg 1\nv a 1\nq what\n", 3, "unknown record"),
+    # numbers are ASCII decimals, as in the answers
+    ("hg \u00b2\n", 1, "non-negative integer"),
+    ("hg 1\nv a 1_0\n", 2, "non-negative integer"),
+    ("hg 1\nv a +1\n", 2, "non-negative integer"),
+    ("hg 1\nv a \u0663\n", 2, "non-negative integer"),
+    ("", 0, "missing 'hg <p>' header"),
+    # the first vertex record whose vertex has no list
+    ("hg 0\nv a\nv b\nl a 1\ne e1 a b\n", 3, "vertices without lists: \\['b'\\]"),
+]
 
 
 class TestParse:
@@ -43,26 +68,7 @@ class TestParse:
         assert inst.lists == {"a": {"1", "2"}, "b": {"2", "3"}}
 
     def test_error_line_numbers(self):
-        cases = [
-            ("v a 1\n", 1, "missing"),
-            ("hg 2\nv a 1\n", 2, "expected 2 values"),
-            ("hg 1\nv a 1\nv a 1\n", 3, "duplicate vertex"),
-            ("hg 1\nv a 1\ne e1 a a\n", 3, "loop"),
-            ("hg 1\nv a 1\nv b 1\ne e1 a b c\n", 4, "unknown vertices"),
-            ("hg 1\nv a -1\n", 2, "negative"),
-            ("hg 1\nhg 1\n", 2, "duplicate header"),
-            ("hg 1\nv a 1\nl a 1\n", 3, "hg 0"),
-            ("hg 1\nv a 1\nq what\n", 3, "unknown record"),
-            # numbers are ASCII decimals, as in the answers
-            ("hg \u00b2\n", 1, "non-negative integer"),
-            ("hg 1\nv a 1_0\n", 2, "non-negative integer"),
-            ("hg 1\nv a +1\n", 2, "non-negative integer"),
-            ("hg 1\nv a \u0663\n", 2, "non-negative integer"),
-            ("", 0, "missing 'hg <p>' header"),
-            # the first vertex record whose vertex has no list
-            ("hg 0\nv a\nv b\nl a 1\ne e1 a b\n", 3, "vertices without lists: \\['b'\\]"),
-        ]
-        for text, line, frag in cases:
+        for text, line, frag in ERROR_CASES:
             with pytest.raises(ParseError, match=frag) as exc:
                 parse_instance(text)
             assert exc.value.line_no == line
@@ -197,14 +203,15 @@ class TestMalformedAnswers:
         assert exc.value.line_no == line
 
 
-def _bench_requests(workload):
-    """The benchmark's requests of one workload at seed 7 (bench/workloads.py)."""
+@functools.cache
+def _bench_requests(workload, seed=7):
+    """The benchmark's requests of one workload (bench/workloads.py)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return workloads.GENERATORS[workload](7)
+    return workloads.GENERATORS[workload](seed)
 
 
 class TestBenchmarkAnswers:
@@ -238,3 +245,152 @@ class TestBenchmarkAnswers:
                 assert p == inst.p and dp.verify_partition(inst.H, inst.f, P)
                 seen["partition"] += 1
         assert seen == counts
+
+
+def _outcome(read, text):
+    """read(text), or the (message, line number) of the ParseError it raises."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def _assert_reads_as_reference(text):
+    got, want = _outcome(parse_instance, text), _outcome(reference_parse_instance, text)
+    if isinstance(want, tuple):
+        assert got == want, text
+        return
+    assert isinstance(got, Instance), (got, text)
+    assert (got.p, got.f, got.lists, got.H) == (want.p, want.f, want.lists, want.H), text
+    assert got.H.edge_ids == want.H.edge_ids
+    assert all(got.H.edges_at(v) == want.H.edges_at(v) for v in want.H.vertices)
+
+
+_GAPS = (" ", "  ", "\t", " \t ")
+
+
+def _messy_text(rng: random.Random, H, f, lists) -> str:
+    """H with f or lists as a file that emit_instance would not write: each
+    kind of line shuffled, edges out of id order, comment and blank lines,
+    runs of spaces or tabs between words, CRLF or LF endings."""
+    p = f.p if f is not None else 0
+    vs = sorted(H.vertices)
+    groups = [
+        [["v", v, *map(str, f[v])] if f is not None else ["v", v] for v in vs],
+        [["l", v, *sorted(lists[v])] for v in vs] if lists else [],
+        [["e", e, *rng.sample(sorted(m), len(m))] for e, m in H.edges().items()],
+    ]
+    lines = [f"hg{rng.choice(_GAPS)}{p}"]
+    for group in groups:
+        rng.shuffle(group)
+        lines += [rng.choice(("", " ")) + "".join(w + rng.choice(_GAPS) for w in words[:-1]) + words[-1]
+                  + rng.choice(("", "  ", " # note", "#x")) for words in group]
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "  \t", "# comment", "#")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+class TestReadsAsReference:
+    """parse_instance reads every file as the reference reader does: the same
+    p, f, lists and H, with the same edge order, or the same ParseError."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize("workload", ["tight", "hard", "slack"])
+    def test_benchmark_requests(self, workload, seed):
+        for req in _bench_requests(workload, seed):
+            _assert_reads_as_reference(req.text)
+
+    def test_messy_random_instances(self):
+        rng = random.Random(2026)
+        scrambled = 0
+        for seed in range(300):
+            H = dp.random_hypergraph(rng.randint(1, 9), rng.randint(0, 14), max_arity=4, seed=seed)
+            p = rng.randint(0, 3)
+            f = VectorFunction(p, {v: [rng.randint(0, 12) for _ in range(p)] for v in H.vertices}) if p else None
+            lists = ({v: {str(rng.randint(1, 20)) for _ in range(3)} for v in H.vertices}
+                     if not p and rng.random() < 0.5 else None)
+            text = _messy_text(rng, H, f, lists)
+            _assert_reads_as_reference(text)
+            inst = parse_instance(text)
+            assert (inst.H, inst.f, inst.lists) == (H, f, lists)
+            ids = [line.split()[1] for line in text.splitlines() if line.lstrip().startswith("e")]
+            scrambled += ids != sorted(ids)
+        assert scrambled >= 100
+
+    def test_builds_no_validated_copy(self, monkeypatch):
+        # the reader stores what it has checked; it never calls the
+        # validating constructors
+        def refuse(*args):
+            raise AssertionError("validating constructor called")
+
+        text = emit_instance(dp.cycle(5), VectorFunction.constant(dp.cycle(5).vertices, (1, 1)))
+        monkeypatch.setattr(Hypergraph, "__init__", refuse)
+        monkeypatch.setattr(VectorFunction, "__init__", refuse)
+        inst = parse_instance(text)
+        assert inst.H.size == 5 and inst.f["v1"] == (1, 1)
+
+
+_SMALL_FILES = [
+    "hg 2\nv a 1 0\nv b 0 1\nv c 2 12\ne e2 a b\ne e1 b c a\n",
+    "hg 1\nv a 1\nv b 10\ne e1 a b\ne e10 b a\n",
+    "# note\nhg 0\nv a\nv b\nv c\nl a 1 2\nl b 2\nl c 1 3\ne x a b  # ab\n\ne y b c\n",
+    "hg 0\nv a\nv b\ne e1 a b\n",
+]
+
+
+def _mutations(text: str):
+    """Small changes of a valid file: each line deleted, duplicated or
+    swapped with another; each word replaced by a malformed number; a vertex
+    with one value too few; a list line appended."""
+    lines = text.splitlines(keepends=True)
+    n = len(lines)
+    for i in range(n):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        for j in range(i + 1, n):
+            swapped = list(lines)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield swapped
+        words = lines[i].split()
+        for k in range(len(words)):
+            for bad in ("-1", "1_0", "\u0663", "\u00b2"):
+                yield lines[:i] + [" ".join(words[:k] + [bad] + words[k + 1:]) + "\n"] + lines[i + 1:]
+        if words[:1] == ["v"] and len(words) > 2:
+            yield lines[:i] + [" ".join(words[:-1]) + "\n"] + lines[i + 1:]
+    yield lines + ["l a 1\n"]
+
+
+class TestMalformedInstances:
+    """On a malformed file parse_instance raises the reference reader's
+    ParseError: the same message and line number."""
+
+    @pytest.mark.parametrize("text", [case[0] for case in ERROR_CASES])
+    def test_error_cases(self, text):
+        _assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("text", _SMALL_FILES)
+    def test_mutations(self, text):
+        # each mutation is read again with a second header after it, which
+        # is reported ahead of any fault in the records
+        faults = 0
+        for lines in _mutations(text):
+            mutated = "".join(lines)
+            _assert_reads_as_reference(mutated)
+            _assert_reads_as_reference(mutated + "hg 1\n")
+            faults += isinstance(_outcome(parse_instance, mutated), tuple)
+        assert faults >= 20
+
+    @pytest.mark.parametrize("text, line, frag", [
+        ("hg 1\nv a 1 2\nhg 1\n", 3, "duplicate header"),
+        ("hg 1\ne e1 a b\nv a 1\nhg 1\n", 4, "duplicate header"),
+        ("hg 1\nv a x\nhg 2 3\n", 3, "header must be"),
+        ("hg 1\nq\nhg x\n", 3, "non-negative integer, got 'x'"),
+        ("hg 0\nv a\nv b\nl a 1\nhg 0\n", 5, "duplicate header"),
+        ("hg 1\nv a -1\nhg 1\nhg\n", 4, "header must be"),
+    ])
+    def test_header_fault_reported_first(self, text, line, frag):
+        # a record fault comes first in the file, a header fault after it
+        with pytest.raises(ParseError, match=frag) as exc:
+            parse_instance(text)
+        assert exc.value.line_no == line
+        _assert_reads_as_reference(text)
