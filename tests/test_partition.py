@@ -210,9 +210,9 @@ class TestConstructionCounts:
         H, f = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
         nblocks = len(dp.blocks(H).blocks)
         counts: dict[str, int] = {}
-        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        count_calls(monkeypatch, counts, Hypergraph, "_store")
         res = dp.solve(H, f)
-        assert (nblocks, counts["__init__"]) == (16, 0)
+        assert (nblocks, counts["_store"]) == (16, 0)
         assert list(res.certificates) == [H.vertices]
 
     def test_verify_partition_peels_once(self, monkeypatch):
@@ -223,9 +223,9 @@ class TestConstructionCounts:
         partition_module = importlib.import_module("degenpart.partition")
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, partition_module, "is_strictly_degenerate")
-        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        count_calls(monkeypatch, counts, Hypergraph, "_store")
         assert dp.verify_partition(H, f, P)
-        assert counts == {"is_strictly_degenerate": 1, "__init__": 1}
+        assert counts == {"is_strictly_degenerate": 1, "_store": 1}
 
     def test_tight_triangle_builds_one_hypergraph(self, monkeypatch):
         # verify_partition's inside edges only: is_hard builds no block, and
@@ -233,9 +233,9 @@ class TestConstructionCounts:
         H = Hypergraph("abc", {"e1": "ab", "e2": "bc", "e3": "ca"})
         f = VectorFunction(2, {"a": (1, 1), "b": (2, 0), "c": (0, 2)})
         counts: dict[str, int] = {}
-        count_calls(monkeypatch, counts, Hypergraph, "__init__")
+        count_calls(monkeypatch, counts, Hypergraph, "_store")
         assert dp.solve(H, f).partitionable
-        assert counts["__init__"] == 1
+        assert counts["_store"] == 1
 
     def test_one_certificate_per_component(self):
         H1, f1 = dp.make_hard(dp.random_hard_plan(3, max_blocks=60, p=3), 3, seed=3)
