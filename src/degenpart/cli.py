@@ -156,30 +156,27 @@ def _random_vector(rng: random.Random, d: int, p: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _sweep_instances(max_n: int, p: int, seed: int, count: int):
-    """Seeded connected instances with f matching the degrees pointwise."""
+def _sweep_verdicts(args):
+    """Seeded connected instances with f matching the degrees pointwise,
+    each with its is_hard verdict and the oracle's partitionable verdict."""
+    max_n, p = args.max_n, args.p
     if max_n < 2 or p < 1:
         raise ValueError(f"need --max-n >= 2 and --p >= 1, got --max-n {max_n} --p {p}")
-    rng = random.Random(seed)
-    for i in range(count):
+    rng = random.Random(args.seed)
+    for _ in range(args.count):
         n = rng.randint(2, max_n)
         m = rng.randint(1, min(8, 2 * n))
         H = random_hypergraph(n, m, max_arity=3, max_mult=2, seed=rng.randrange(2**32), connected=True)
         f = VectorFunction(p, {v: _random_vector(rng, H.degree(v), p) for v in H.vertices})
-        yield H, f
+        yield H, f, is_hard(H, f) is not None, oracle.brute_partitionable(H, f).partitionable
 
 
 def _cmd_oracle_check(args) -> int:
     checked = 0
     disagreements = 0
-    for H, f in _sweep_instances(args.max_n, args.p, args.seed, args.count):
-        hard = is_hard(H, f) is not None
-        verdict = oracle.brute_partitionable(H, f)
-        if hard == verdict.partitionable:
-            disagreements += 1
-        res = solve(H, f)
-        if res.partitionable != verdict.partitionable:
-            disagreements += 1
+    for H, f, hard, partitionable in _sweep_verdicts(args):
+        disagreements += hard == partitionable
+        disagreements += solve(H, f).partitionable != partitionable
         checked += 1
     print(f"checked {checked}")
     print(f"disagreements: {disagreements}")
@@ -189,19 +186,12 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_census(args) -> int:
     stats: dict[int, list[int]] = {}
     disagreements = 0
-    for H, f in _sweep_instances(args.max_n, args.p, args.seed, args.count):
-        row = stats.setdefault(H.order, [0, 0, 0])
-        row[0] += 1
-        hard = is_hard(H, f) is not None
-        if hard:
-            row[1] += 1
-        else:
-            row[2] += 1
-        if hard == oracle.brute_partitionable(H, f).partitionable:
-            disagreements += 1
+    for H, _, hard, partitionable in _sweep_verdicts(args):
+        stats.setdefault(H.order, [0, 0])[0 if hard else 1] += 1
+        disagreements += hard == partitionable
     for n in sorted(stats):
-        total, hard_n, part_n = stats[n]
-        print(f"n {n} instances {total} hard {hard_n} partitionable {part_n}")
+        hard_n, part_n = stats[n]
+        print(f"n {n} instances {hard_n + part_n} hard {hard_n} partitionable {part_n}")
     print(f"disagreements: {disagreements}")
     return 0 if disagreements == 0 else 2
 

@@ -37,6 +37,12 @@ class ColoringResult:
         return self.coloring is not None
 
 
+def _check_lists(H: Hypergraph, L: Mapping[str, set]) -> None:
+    """ValueError unless L gives a list to exactly the vertices of H."""
+    if set(L) != H.vertices:
+        raise ValueError("list assignment domain does not match the hypergraph")
+
+
 def list_to_vector(
     H: Hypergraph, L: Mapping[str, set], s: int = 1
 ) -> tuple[VectorFunction, tuple[Color, ...]]:
@@ -45,8 +51,7 @@ def list_to_vector(
     Colors are numbered 1..p in sorted order; the order is returned so a
     partition can be translated back to colors.
     """
-    if set(L) != set(H.vertices):
-        raise ValueError("list assignment domain does not match the hypergraph")
+    _check_lists(H, L)
     universe = sorted({c for lst in L.values() for c in lst}, key=lambda c: (str(type(c)), c))
     if not universe:
         raise ValueError("empty color universe")

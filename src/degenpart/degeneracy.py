@@ -47,7 +47,6 @@ def is_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> DegeneracyWit
     order: list[str] = []
     ready = [v for v in alive if deg[v] < h[v]]
     heapq.heapify(ready)
-    queued = set(ready)
     while ready:
         v = heapq.heappop(ready)
         alive.discard(v)
@@ -61,8 +60,7 @@ def is_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> DegeneracyWit
                 if u not in alive:
                     continue
                 deg[u] -= 1
-                if deg[u] < h[u] and u not in queued:
-                    queued.add(u)
+                if deg[u] == h[u] - 1:  # the one moment u's degree falls below its bound
                     heapq.heappush(ready, u)
     if alive:
         return DegeneracyWitness(None, frozenset(alive))

@@ -137,6 +137,12 @@ def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
     return vec
 
 
+def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
+    """ValueError unless f is defined on exactly V(H)."""
+    if f.vertices != H.vertices:
+        raise ValueError("vector function domain does not match the hypergraph")
+
+
 # -- block type tags ----------------------------------------------------
 
 
@@ -291,8 +297,7 @@ def hard_components(H: Hypergraph, f: VectorFunction) -> dict[frozenset[str], Ha
     `structure.block_forest` pass gives every component's blocks, and
     `_strip_blocks` decides each component on one shared residual.
     """
-    if f.vertices != H.vertices:
-        raise ValueError("vector function domain does not match the hypergraph")
+    _check_domain(H, f)
     residual = dict(f.items())
     return {comp: _strip_blocks(parts, rank, residual, f.p) for comp, parts, rank in block_forest(H)}
 

@@ -28,7 +28,7 @@ class Hypergraph:
     whose edges are already checked, call the store step through `_of`.
     """
 
-    __slots__ = ("_vertices", "_incidence", "_edge_order", "_at")
+    __slots__ = ("_vertices", "_incidence", "_at")
 
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, Iterable[str]] = ()):
         vs = frozenset(vertices)
@@ -62,7 +62,6 @@ class Hypergraph:
         """
         self._vertices = vertices
         self._incidence = incidence
-        self._edge_order = tuple(incidence)
         self._at = {v: tuple(es) for v, es in at.items()}
         return self
 
@@ -80,7 +79,7 @@ class Hypergraph:
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
-        return self._edge_order
+        return tuple(self._incidence)
 
     def incidence(self, eid: str) -> frozenset[str]:
         return self._incidence[eid]
@@ -107,7 +106,7 @@ class Hypergraph:
         return self._vertices == other._vertices and self._incidence == other._incidence
 
     def __hash__(self) -> int:
-        return hash((self._vertices, tuple((e, self._incidence[e]) for e in self._edge_order)))
+        return hash((self._vertices, tuple(self._incidence.items())))
 
     def __repr__(self) -> str:
         return f"Hypergraph({len(self._vertices)} vertices, {len(self._incidence)} edges)"

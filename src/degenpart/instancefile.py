@@ -26,7 +26,9 @@ which Hypergraph and VectorFunction then store without checking again.  A
 header fault anywhere in a file is reported ahead of a record fault.  The
 parse_* readers raise ParseError naming the offending line, and every
 emitted answer reads back: the emit_* writers raise ValueError for a name
-that could not, one that is empty or holds whitespace or '#'.
+that could not, one that is empty or holds whitespace or '#', and
+emit_instance for f-values or lists not given on exactly V(H), or an
+empty list.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .hardpair import CTag, HardPairCertificate, KTag, MTag, VectorFunction
+from .coloring import _check_lists
+from .hardpair import CTag, HardPairCertificate, KTag, MTag, VectorFunction, _check_domain
 from .hypergraph import Hypergraph
 
 
@@ -147,6 +150,13 @@ def emit_instance(
 ) -> str:
     if f is not None and lists is not None:
         raise ValueError("an instance carries either f-values or lists, not both")
+    if f is not None:
+        _check_domain(H, f)
+    if lists is not None:
+        _check_lists(H, lists)
+        empty = [v for v, lst in lists.items() if not lst]
+        if empty:
+            raise ValueError(f"empty list at {min(empty)!r}")
     _check_names(chain(H.vertices, H.edge_ids, *(lists or {}).values()))
     p = f.p if f is not None else 0
     out = [f"hg {p}"]

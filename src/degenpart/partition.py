@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import is_strictly_degenerate
-from .hardpair import HardPairCertificate, VectorFunction, hard_components, is_hard
+from .hardpair import HardPairCertificate, VectorFunction, _check_domain, hard_components, is_hard
 from .hypergraph import Hypergraph
 from .structure import separating_vertices
 
@@ -217,11 +217,6 @@ def partition_weight(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> int
     if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
         raise ValueError("partition_weight expects a total assignment into classes 1..p")
     return len(_inside_edges(H, P)) - sum(f[v][i - 1] for v, i in P.items())
-
-
-def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
-    if f.vertices != H.vertices:
-        raise ValueError("vector function domain does not match the hypergraph")
 
 
 def _slack(H: Hypergraph, f: VectorFunction) -> set[str]:

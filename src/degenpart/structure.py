@@ -11,12 +11,14 @@ more skeleton blocks.  The skeleton has at most 2 * sum |e| entries, and
 one Hopcroft-Tarjan DFS per component finds the blocks, and with them the
 separating vertices, in time linear in sum |e|.
 
-Every block query runs the same driver, `_dfs_forest`: it roots the
-first search at the smallest vertex and each later one at the smallest
-vertex left undiscovered.  `block_forest` gives, from that one pass, every
-component's vertex set and blocks, each block with its entry and its edges
-as an edge multiset: each distinct incidence set mapped to the number of
-parallel edges on it, the form in which the hard-pair layer reads a block.
+Every connectivity query runs one search, `_dfs_forest`, rooted at the
+smallest vertex left undiscovered, so components come out sorted by
+smallest vertex.  `components` (the union of each component's blocks) and
+`separating_vertices` read its blocks through `_skeleton_forest`.
+`block_forest` gives, from one pass, every component's vertex set and
+blocks, each block with its entry and its edges as an edge multiset: each
+distinct incidence set mapped to the number of parallel edges on it, the
+form in which the hard-pair layer reads a block.
 `block_trees` reads the same pass as one BlockTree per component;
 `rooted_blocks` and `blocks` are the connected cases of the two.
 """
@@ -32,25 +34,7 @@ from .hypergraph import Hypergraph
 
 def components(H: Hypergraph) -> list[frozenset[str]]:
     """Vertex sets of the connected components, sorted by smallest vertex."""
-    incidence = H.edges()
-    seen: set[str] = set()
-    out: list[frozenset[str]] = []
-    for start in H.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in H.edges_at(v):
-                for u in incidence.pop(e, ()):
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-        seen |= comp
-        out.append(frozenset(comp))
-    out.sort(key=min)
-    return out
+    return [frozenset().union(*(b for _, b in found)) for found in _skeleton_forest(H)]
 
 
 def is_connected(H: Hypergraph) -> bool:
@@ -62,8 +46,15 @@ def separating_vertices(H: Hypergraph) -> frozenset[str]:
 
     These are the vertices lying in two or more blocks of the skeleton.
     """
+    return _in_two_or_more([b for found in _skeleton_forest(H) for _, b in found])
+
+
+def _skeleton_forest(H: Hypergraph) -> list[list[tuple[str, frozenset[str]]]]:
+    """`_dfs_forest`'s blocks of H's skeleton, built from each distinct
+    incidence set once: the one search behind `components` and
+    `separating_vertices`."""
     forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H.edges().values())))
-    return _in_two_or_more([b for found in forest for _, b in found])
+    return forest
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import pytest
 
 import degenpart as dp
-from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
+from degenpart.hardpair import CTag, KTag, MTag, _check_domain, _has_shape, block_function
 from degenpart.instancefile import Instance, ParseError
-from degenpart.partition import _check_domain, _Residual, _slack
+from degenpart.partition import _Residual, _slack
 
 SWEEP_SEED = 20260823
 SWEEP_INSTANCES = 2000
@@ -327,6 +327,46 @@ def disconnected_instance(seed: int) -> tuple[dp.Hypergraph, dp.VectorFunction]:
             f = f.with_value(v, vec)
         parts.append((prefix, H, f))
     return disjoint_union(parts)
+
+
+def reference_components(H: dp.Hypergraph) -> list[frozenset[str]]:
+    """Reference: the hyperedge depth-first search that `structure.components`
+    ran before it read the skeleton search's blocks."""
+    incidence = H.edges()
+    seen: set[str] = set()
+    out: list[frozenset[str]] = []
+    for start in H.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for e in H.edges_at(v):
+                for u in incidence.pop(e, ()):
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+        seen |= comp
+        out.append(frozenset(comp))
+    out.sort(key=min)
+    return out
+
+
+def reference_peel_order(H: dp.Hypergraph, h: dict[str, int]) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Reference: repeatedly remove the smallest vertex whose degree in the
+    subhypergraph induced by the vertices left is below h; the removal order
+    and the vertices left when none can go."""
+    alive = set(H.vertices)
+    order: list[str] = []
+    while True:
+        G = H.induced(alive)
+        ready = [v for v in alive if G.degree(v) < h[v]]
+        if not ready:
+            return tuple(order), frozenset(alive)
+        v = min(ready)
+        alive.remove(v)
+        order.append(v)
 
 
 def reference_reduce_pair(

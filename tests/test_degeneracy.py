@@ -4,6 +4,7 @@ import pytest
 
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
+from conftest import reference_peel_order
 
 
 def const(H, k):
@@ -46,6 +47,23 @@ class TestStrictDegeneracy:
                 assert H.induced(left).degree(v) < h[v]
                 left.discard(v)
             assert not left
+
+    def test_peels_in_reference_order(self):
+        # bounds drawn around each degree: stuck and peeled instances, and bounds of 0
+        rng = random.Random(20261020)
+        stuck = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            H = dp.random_hypergraph(n, rng.randint(0, 2 * n), max_arity=4, max_mult=3, seed=rng.randrange(2**32))
+            h = {v: max(0, H.degree(v) + rng.randint(-3, 1)) for v in sorted(H.vertices)}
+            order, left = reference_peel_order(H, h)
+            wit = dp.is_strictly_degenerate(H, h)
+            if left:
+                stuck += 1
+                assert wit.removal_order is None and wit.core == left
+            else:
+                assert wit.removal_order == order and wit.core is None
+        assert 0 < stuck < 300
 
     def test_missing_vertex_rejected(self):
         with pytest.raises(ValueError, match="misses"):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import random
@@ -588,3 +589,87 @@ class TestHardPairProperties:
                         continue
                     for v in sorted(H.vertices - {z}):
                         assert f[v][j] >= H.multiplicity(z, v)
+
+
+def _hard_and_raised(seed):
+    """A make_hard pair of up to 8 or up to 250 base blocks, and the same
+    pair with one coordinate raised at one vertex."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    plan = dp.random_hard_plan(rng.randrange(2**32), max_blocks=8 if seed % 4 else 250, p=p)
+    H, f = dp.make_hard(plan, p, seed=rng.randrange(2**32))
+    v = rng.choice(sorted(H.vertices))
+    j = rng.randrange(p)
+    return rng, H, f, f.with_value(v, tuple(x + (i == j) for i, x in enumerate(f[v])))
+
+
+def _renamed(H, f, rng):
+    """H and f with vertices and edges renamed by a random bijection, and the
+    vertex bijection."""
+    vs, es = sorted(H.vertices), H.edge_ids
+    phi = dict(zip(vs, rng.sample([f"x{k}" for k in range(len(vs))], len(vs))))
+    eps = dict(zip(es, rng.sample([f"y{k}" for k in range(len(es))], len(es))))
+    H2 = Hypergraph(phi.values(), {eps[e]: [phi[v] for v in m] for e, m in H.edges().items()})
+    return phi, H2, VectorFunction(f.p, {phi[v]: vec for v, vec in f.items()})
+
+
+def _triples(cert, phi=None):
+    """The certificate's (block, tag, share) triples, each vertex mapped by phi."""
+    name = phi.__getitem__ if phi is not None else (lambda v: v)
+    return {
+        (frozenset(map(name, b)), tag, frozenset((name(v), share) for v, share in fn.items()))
+        for b, tag, fn in zip(cert.blocks, cert.tags, cert.block_functions)
+    }
+
+
+def _checked_answer(H, f):
+    """solve's answer, after it passed verify_partition or verify_certificate."""
+    res = dp.solve(H, f)
+    if res.partitionable:
+        assert dp.verify_partition(H, f, res.partition)
+    else:
+        for comp, cert in res.certificates.items():
+            assert dp.verify_certificate(H.induced(comp), f.restrict(comp), cert)
+    return res
+
+
+class TestMetamorphicPastTheOracle:
+    """Hard pairs of up to 250 base blocks and their raised versions, whose
+    verdicts are known by construction, checked by relations that need no
+    oracle: renaming and t-folding keep the verdict and map the answer."""
+
+    SEEDS = range(40)
+
+    def test_renaming_keeps_verdicts_and_maps_certificates(self):
+        for seed in self.SEEDS:
+            rng, H, f, raised = _hard_and_raised(seed)
+            for g in (f, raised):
+                phi, H2, g2 = _renamed(H, g, rng)
+                want, got = _checked_answer(H, g), _checked_answer(H2, g2)
+                assert want.partitionable == got.partitionable == (g is raised)
+                if g is f:
+                    (comp, cert), = want.certificates.items()
+                    (comp2, cert2), = got.certificates.items()
+                    assert comp2 == frozenset(map(phi.__getitem__, comp))
+                    # the canonical block order follows the names, so compare sets
+                    assert _triples(cert2) == _triples(cert, phi)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_t_fold_scales_tags_and_shares(self, t):
+        for seed in self.SEEDS:
+            _, H, f, raised = _hard_and_raised(seed)
+            Ht = dp.t_fold(H, t)
+            for g in (f, raised):
+                gt = VectorFunction(g.p, {v: tuple(t * x for x in vec) for v, vec in g.items()})
+                want, got = _checked_answer(H, g), _checked_answer(Ht, gt)
+                assert want.partitionable == got.partitionable == (g is raised)
+                if g is f:
+                    (cert,), (certt,) = want.certificates.values(), got.certificates.values()
+                    assert certt.blocks == cert.blocks
+                    assert certt.tags == tuple(
+                        tag if isinstance(tag, MTag) else dataclasses.replace(tag, t=t * tag.t)
+                        for tag in cert.tags
+                    )
+                    assert certt.block_functions == tuple(
+                        {v: tuple(t * x for x in share) for v, share in fn.items()} for fn in cert.block_functions
+                    )

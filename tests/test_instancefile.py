@@ -111,6 +111,30 @@ class TestRoundTrip:
             emit_instance(H, VectorFunction.constant(H.vertices, (1,)), {v: {"1"} for v in H.vertices})
 
 
+class TestEmitInstanceDomain:
+    """emit_instance refuses data that would not read back as given."""
+
+    @pytest.mark.parametrize("values", [
+        {"v1": (1, 1), "v2": (1, 1)},  # misses v3
+        {"v1": (1, 1), "v2": (1, 1), "v3": (1, 1), "v4": (1, 1)},  # v4 is not a vertex
+    ], ids=["missing-vertex", "extra-vertex"])
+    def test_f_off_the_vertex_set(self, values):
+        with pytest.raises(ValueError, match="^vector function domain does not match the hypergraph$"):
+            emit_instance(dp.cycle(3), VectorFunction(2, values))
+
+    @pytest.mark.parametrize("lists", [
+        {"v1": {"1"}, "v2": {"1"}, "v3": {"1"}, "v4": {"1"}},  # v4 is not a vertex
+        {"v1": {"1"}, "v2": {"1"}},  # v3 has no list
+    ], ids=["unknown-vertex", "vertex-without-list"])
+    def test_lists_off_the_vertex_set(self, lists):
+        with pytest.raises(ValueError, match="^list assignment domain does not match the hypergraph$"):
+            emit_instance(dp.cycle(3), lists=lists)
+
+    def test_empty_list(self):
+        with pytest.raises(ValueError, match="^empty list at 'v2'$"):
+            emit_instance(dp.cycle(3), lists={"v1": {"1"}, "v2": set(), "v3": {"1"}})
+
+
 def _renamed_c5(name: str):
     """C5 with (1, 1) everywhere and vertex v1 renamed."""
     H = dp.cycle(5)

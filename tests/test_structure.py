@@ -9,7 +9,7 @@ import pytest
 import degenpart as dp
 from degenpart.hypergraph import Hypergraph
 from degenpart.structure import _skeleton_adjacency, block_forest, blocks, rooted_blocks
-from conftest import disconnected_instance
+from conftest import disconnected_instance, reference_components
 
 
 class TestComponents:
@@ -25,7 +25,32 @@ class TestComponents:
         assert dp.is_connected(H)
 
     def test_empty(self):
-        assert dp.components(Hypergraph(())) == []
+        assert dp.components(Hypergraph(())) == reference_components(Hypergraph(())) == []
+
+
+class TestComponentsMatchReference:
+    """The skeleton search's components equal the hyperedge search's: the
+    same sets in the same order."""
+
+    def test_sweep_hypergraphs(self, sweep):
+        for H in {id(r.H): r.H for r in sweep.records}.values():
+            assert dp.components(H) == reference_components(H)
+
+    def test_disconnected_instances(self):
+        for seed in range(100):
+            H, _ = disconnected_instance(seed)
+            assert dp.components(H) == reference_components(H)
+
+    def test_isolated_vertices(self):
+        isolated = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 30)
+            H = dp.random_hypergraph(n, rng.randint(0, n // 2), max_arity=4, seed=seed)
+            got = dp.components(H)
+            assert got == reference_components(H)
+            isolated += sum(len(c) == 1 for c in got)
+        assert isolated > 60
 
 
 class TestSeparatingVertices:
