@@ -25,7 +25,6 @@ from .hardpair import (
     HardPairCertificate,
     KTag,
     MTag,
-    VectorFunction,
     classify_block,
     hard_components,
     is_hard,
@@ -35,6 +34,7 @@ from .hardpair import (
 )
 from .hypergraph import (
     Hypergraph,
+    VectorFunction,
     complete_uniform,
     cycle,
     merge,

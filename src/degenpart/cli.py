@@ -19,8 +19,8 @@ import sys
 from . import coloring as coloring_mod
 from . import oracle
 from .degeneracy import col, is_strictly_degenerate
-from .hardpair import VectorFunction, hard_components, is_hard, make_hard, random_hard_plan
-from .hypergraph import Hypergraph, complete_uniform, cycle, path, random_hypergraph, t_fold
+from .hardpair import hard_components, is_hard, make_hard, random_hard_plan
+from .hypergraph import Hypergraph, VectorFunction, complete_uniform, cycle, path, random_hypergraph, t_fold
 from .instancefile import (
     Instance,
     emit_certificates,
@@ -167,7 +167,7 @@ def _sweep_verdicts(args):
         n = rng.randint(2, max_n)
         m = rng.randint(1, min(8, 2 * n))
         H = random_hypergraph(n, m, max_arity=3, max_mult=2, seed=rng.randrange(2**32), connected=True)
-        f = VectorFunction(p, {v: _random_vector(rng, H.degree(v), p) for v in H.vertices})
+        f = VectorFunction(p, {v: _random_vector(rng, H.degree(v), p) for v in sorted(H.vertices)})
         yield H, f, is_hard(H, f) is not None, oracle.brute_partitionable(H, f).partitionable
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .degeneracy import col, is_strictly_degenerate
-from .hardpair import HardPairCertificate, VectorFunction
-from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, t_fold_complete_parameters, t_fold_cycle_parameters
+from .hardpair import HardPairCertificate
+from .hypergraph import (Hypergraph, VectorFunction, _check_lists, _complete_shape, _cycle_shape,
+                         t_fold_complete_parameters, t_fold_cycle_parameters)
 from .oracle import brute_partitionable
 from .partition import enforce_degree_bounds, solve
 from .structure import RootedBlock, block_forest, components
@@ -35,12 +36,6 @@ class ColoringResult:
     @property
     def colorable(self) -> bool:
         return self.coloring is not None
-
-
-def _check_lists(H: Hypergraph, L: Mapping[str, set]) -> None:
-    """ValueError unless L gives a list to exactly the vertices of H."""
-    if set(L) != H.vertices:
-        raise ValueError("list assignment domain does not match the hypergraph")
 
 
 def list_to_vector(

@@ -1,5 +1,8 @@
 """Recognition, generation and verification of non-partitionable pairs.
 
+The pair's types and domain check live in `hypergraph`; this module holds
+the block type tags, the certificate, recognition, verification and construction.
+
 A pair (H, f) with f a p-coordinate vector function admits no partition
 into strictly f_i-degenerate classes exactly when it belongs to a
 recursive family built from three kinds of base blocks -- monoblocks (all
@@ -39,108 +42,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping
 
-from .hypergraph import Hypergraph, _complete_shape, _cycle_shape, complete_uniform, cycle, t_fold
+from .hypergraph import (Hypergraph, VectorFunction, _check_domain, _complete_shape, _cycle_shape,
+                         complete_uniform, cycle, t_fold)
 from .structure import RootedBlock, block_forest, blocks, rooted_blocks
-
-
-class VectorFunction:
-    """Map from vertices to length-p tuples of non-negative integers.
-
-    One store step, `_store`, sets the fields.  The constructor checks every
-    vector and then stores them; `restrict`, `with_value` and the instance
-    reader, whose vectors are already checked, call the store step through
-    `_of`.
-    """
-
-    __slots__ = ("p", "_values")
-
-    def __init__(self, p: int, values: Mapping[str, Sequence[int]]):
-        if p < 1:
-            raise ValueError(f"vector function needs p >= 1, got {p}")
-        self._store(p, {v: _vector(p, v, vec) for v, vec in dict(values).items()})
-
-    def _store(self, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
-        """Set the fields from checked parts, taken as given, and return self."""
-        self.p = p
-        self._values = values
-        return self
-
-    @classmethod
-    def _of(cls, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
-        """f of p >= 1 and length-p tuples of non-negative integers, unchecked."""
-        return cls.__new__(cls)._store(p, values)
-
-    @classmethod
-    def constant(cls, vertices: Iterable[str], vec: Sequence[int]) -> "VectorFunction":
-        vec = tuple(vec)
-        return cls(len(vec), {v: vec for v in vertices})
-
-    @classmethod
-    def from_degrees(cls, H: Hypergraph, j: int, p: int) -> "VectorFunction":
-        """f(v) = d_H(v) * e_j (1-based j)."""
-        if not 1 <= j <= p:
-            raise ValueError(f"coordinate {j} out of range 1..{p}")
-        return cls(p, {v: tuple(H.degree(v) if i == j else 0 for i in range(1, p + 1)) for v in H.vertices})
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return frozenset(self._values)
-
-    def __getitem__(self, v: str) -> tuple[int, ...]:
-        return self._values[v]
-
-    def items(self):
-        return self._values.items()
-
-    def sum_at(self, v: str) -> int:
-        return sum(self._values[v])
-
-    def restrict(self, X: Iterable[str]) -> "VectorFunction":
-        """f on X; f itself when X is the whole domain."""
-        X = frozenset(X)
-        if X == self._values.keys():
-            return self
-        if not X <= self._values.keys():
-            raise ValueError(f"restrict: {sorted(X - self._values.keys())} are not in the domain")
-        return VectorFunction._of(self.p, {v: self._values[v] for v in X})
-
-    def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":
-        """f with the vector at v, a vertex of the domain, replaced by vec."""
-        if v not in self._values:
-            raise ValueError(f"with_value: {v!r} is not in the domain")
-        return VectorFunction._of(self.p, {**self._values, v: _vector(self.p, v, vec)})
-
-    def coordinate(self, j: int) -> dict[str, int]:
-        """The scalar function f_j (1-based)."""
-        if not 1 <= j <= self.p:
-            raise ValueError(f"coordinate {j} out of range 1..{self.p}")
-        return {v: vec[j - 1] for v, vec in self._values.items()}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorFunction):
-            return NotImplemented
-        return self.p == other.p and self._values == other._values
-
-    def __repr__(self) -> str:
-        return f"VectorFunction(p={self.p}, {len(self._values)} vertices)"
-
-
-def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
-    """vec as a tuple, checked to be p >= 1 non-negative entries."""
-    vec = tuple(vec)
-    if len(vec) != p:
-        raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
-    if min(vec) < 0:  # p >= 1
-        raise ValueError(f"vector at {v!r} has a negative entry")
-    return vec
-
-
-def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
-    """ValueError unless f is defined on exactly V(H)."""
-    if f.vertices != H.vertices:
-        raise ValueError("vector function domain does not match the hypergraph")
 
 
 # -- block type tags ----------------------------------------------------

@@ -1,4 +1,5 @@
-"""Immutable multihypergraph values and the basic construction operators.
+"""The instance (H, f): immutable multihypergraph values, vector functions,
+their domain rules, and the basic construction operators.
 
 Vertices and edges are named by opaque strings.  Parallel edges are stored
 as distinct edge records (shrinking can turn distinct hyperedges into
@@ -6,6 +7,10 @@ parallel ordinary edges, so multiplicity counters would not survive the
 operators).  Operations return new values, or the value itself when they
 change nothing; a Hypergraph never mutates after construction and is safe
 to share between threads.
+
+A VectorFunction gives each vertex a length-p vector of non-negative
+integers.  `_check_domain` and `_check_lists`, the one copy of each domain
+rule, require f or a list assignment to be given on exactly V(H).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class Hypergraph:
@@ -111,7 +116,7 @@ class Hypergraph:
     def __repr__(self) -> str:
         return f"Hypergraph({len(self._vertices)} vertices, {len(self._incidence)} edges)"
 
-    # -- degrees and multiplicities -------------------------------------
+    # -- degrees --------------------------------------------------------
 
     def edges_at(self, v: str) -> tuple[str, ...]:
         try:
@@ -121,10 +126,7 @@ class Hypergraph:
 
     def degree(self, v: str) -> int:
         """Number of edges incident to v, parallel edges counted separately."""
-        try:
-            return len(self._at[v])
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
+        return len(self.edges_at(v))
 
     def max_degree(self) -> int:
         return max((len(es) for es in self._at.values()), default=0)
@@ -132,19 +134,6 @@ class Hypergraph:
     def min_degree(self) -> int:
         """Kept for the benchmark's workload generator, its one caller."""
         return min((len(es) for es in self._at.values()), default=0)
-
-    def multiplicity(self, u: str, v: str) -> int:
-        """Number of ordinary edges with incidence set exactly {u, v}, the paper's mu.
-
-        No library path calls it; it is kept for the tests' reference
-        reduction and their hard-pair checks.
-        """
-        if u == v:
-            raise ValueError("multiplicity requires two distinct vertices")
-        if u not in self._vertices or v not in self._vertices:
-            raise ValueError("multiplicity arguments must be vertices of the hypergraph")
-        pair = frozenset((u, v))
-        return sum(1 for e in self._at[u] if self._incidence[e] == pair)
 
     # -- restriction operators ------------------------------------------
 
@@ -183,6 +172,113 @@ class Hypergraph:
         if isinstance(X, str):
             X = (X,)
         return self.shrink(self._vertices - frozenset(X))
+
+
+# -- the vector function and the domain rules --------------------------
+
+
+class VectorFunction:
+    """Map from vertices to length-p tuples of non-negative integers.
+
+    One store step, `_store`, sets the fields.  The constructor checks every
+    vector and then stores them; `restrict`, `with_value` and the instance
+    reader, whose vectors are already checked, call the store step through
+    `_of`.
+    """
+
+    __slots__ = ("p", "_values")
+
+    def __init__(self, p: int, values: Mapping[str, Sequence[int]]):
+        if p < 1:
+            raise ValueError(f"vector function needs p >= 1, got {p}")
+        self._store(p, {v: _vector(p, v, vec) for v, vec in dict(values).items()})
+
+    def _store(self, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
+        """Set the fields from checked parts, taken as given, and return self."""
+        self.p = p
+        self._values = values
+        return self
+
+    @classmethod
+    def _of(cls, p: int, values: dict[str, tuple[int, ...]]) -> "VectorFunction":
+        """f of p >= 1 and length-p tuples of non-negative integers, unchecked."""
+        return cls.__new__(cls)._store(p, values)
+
+    @classmethod
+    def constant(cls, vertices: Iterable[str], vec: Sequence[int]) -> "VectorFunction":
+        vec = tuple(vec)
+        return cls(len(vec), {v: vec for v in vertices})
+
+    @classmethod
+    def from_degrees(cls, H: Hypergraph, j: int, p: int) -> "VectorFunction":
+        """f(v) = d_H(v) * e_j (1-based j)."""
+        if not 1 <= j <= p:
+            raise ValueError(f"coordinate {j} out of range 1..{p}")
+        return cls(p, {v: tuple(H.degree(v) if i == j else 0 for i in range(1, p + 1)) for v in H.vertices})
+
+    @property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self._values)
+
+    def __getitem__(self, v: str) -> tuple[int, ...]:
+        return self._values[v]
+
+    def items(self):
+        return self._values.items()
+
+    def sum_at(self, v: str) -> int:
+        return sum(self._values[v])
+
+    def restrict(self, X: Iterable[str]) -> "VectorFunction":
+        """f on X; f itself when X is the whole domain."""
+        X = frozenset(X)
+        if X == self._values.keys():
+            return self
+        if not X <= self._values.keys():
+            raise ValueError(f"restrict: {sorted(X - self._values.keys())} are not in the domain")
+        return VectorFunction._of(self.p, {v: self._values[v] for v in X})
+
+    def with_value(self, v: str, vec: Sequence[int]) -> "VectorFunction":
+        """f with the vector at v, a vertex of the domain, replaced by vec."""
+        if v not in self._values:
+            raise ValueError(f"with_value: {v!r} is not in the domain")
+        return VectorFunction._of(self.p, {**self._values, v: _vector(self.p, v, vec)})
+
+    def coordinate(self, j: int) -> dict[str, int]:
+        """The scalar function f_j (1-based)."""
+        if not 1 <= j <= self.p:
+            raise ValueError(f"coordinate {j} out of range 1..{self.p}")
+        return {v: vec[j - 1] for v, vec in self._values.items()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VectorFunction):
+            return NotImplemented
+        return self.p == other.p and self._values == other._values
+
+    def __repr__(self) -> str:
+        return f"VectorFunction(p={self.p}, {len(self._values)} vertices)"
+
+
+def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
+    """vec as a tuple, checked to be p >= 1 non-negative entries."""
+    vec = tuple(vec)
+    if len(vec) != p:
+        raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
+    if min(vec) < 0:  # p >= 1
+        raise ValueError(f"vector at {v!r} has a negative entry")
+    return vec
+
+
+def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
+    """ValueError unless f is defined on exactly V(H)."""
+    if f.vertices != H.vertices:
+        raise ValueError("vector function domain does not match the hypergraph")
+
+
+def _check_lists(H: Hypergraph, L: Mapping[str, set]) -> None:
+    """ValueError unless L gives a list to exactly the vertices of H."""
+    if set(L) != H.vertices:
+        raise ValueError("list assignment domain does not match the hypergraph")
 
 
 def merge(H1: Hypergraph, v1: str, H2: Hypergraph, v2: str, vstar: str) -> Hypergraph:

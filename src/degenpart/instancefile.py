@@ -39,9 +39,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .coloring import _check_lists
-from .hardpair import CTag, HardPairCertificate, KTag, MTag, VectorFunction, _check_domain
-from .hypergraph import Hypergraph
+from .hardpair import CTag, HardPairCertificate, KTag, MTag
+from .hypergraph import Hypergraph, VectorFunction, _check_domain, _check_lists
 
 
 class ParseError(ValueError):

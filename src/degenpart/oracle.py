@@ -1,20 +1,18 @@
 """Naive brute-force ground truth for small instances.
 
-Deliberately shares only the Hypergraph type with the main code path:
-degeneracy is re-checked here by enumerating vertex subsets, not by
-peeling, so a bug in one implementation cannot hide in the other.
+Deliberately shares only the instance types, Hypergraph and VectorFunction,
+with the main code path: degeneracy is re-checked here by enumerating
+vertex subsets, not by peeling, so a bug in one implementation cannot hide
+in the other.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .hypergraph import Hypergraph
-
-if TYPE_CHECKING:
-    from .hardpair import VectorFunction
+from .hypergraph import Hypergraph, VectorFunction
 
 
 def brute_strictly_degenerate(H: Hypergraph, h: Mapping[str, int]) -> bool:
@@ -43,7 +41,7 @@ class OracleVerdict:
     witness: dict[str, int] | None  # vertex -> class index 1..p
 
 
-def brute_partitionable(H: Hypergraph, f: "VectorFunction") -> OracleVerdict:
+def brute_partitionable(H: Hypergraph, f: VectorFunction) -> OracleVerdict:
     """Try all p^n class assignments in lexicographic vertex order."""
     p = f.p
     n = H.order

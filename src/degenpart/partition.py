@@ -49,8 +49,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .degeneracy import is_strictly_degenerate
-from .hardpair import HardPairCertificate, VectorFunction, _check_domain, hard_components, is_hard
-from .hypergraph import Hypergraph
+from .hardpair import HardPairCertificate, hard_components, is_hard
+from .hypergraph import Hypergraph, VectorFunction, _check_domain
 from .structure import separating_vertices
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import pytest
 
 import degenpart as dp
-from degenpart.hardpair import CTag, KTag, MTag, _check_domain, _has_shape, block_function
+from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
+from degenpart.hypergraph import _check_domain
 from degenpart.instancefile import Instance, ParseError
 from degenpart.partition import _Residual, _slack
 
@@ -369,6 +370,11 @@ def reference_peel_order(H: dp.Hypergraph, h: dict[str, int]) -> tuple[tuple[str
         order.append(v)
 
 
+def reference_multiplicity(H: dp.Hypergraph, u: str, v: str) -> int:
+    """Reference: the paper's mu(u, v), the number of ordinary edges with incidence set {u, v}."""
+    return sum(1 for m in H.edges().values() if m == {u, v})
+
+
 def reference_reduce_pair(
     H: dp.Hypergraph, f: dp.VectorFunction, z: str, j: int
 ) -> tuple[dp.Hypergraph, dp.VectorFunction]:
@@ -378,7 +384,7 @@ def reference_reduce_pair(
     values = {}
     for v in H2.vertices:
         vec = list(f[v])
-        vec[j - 1] = max(0, vec[j - 1] - H.multiplicity(z, v))
+        vec[j - 1] = max(0, vec[j - 1] - reference_multiplicity(H, z, v))
         values[v] = tuple(vec)
     return H2, dp.VectorFunction(f.p, values)
 

@@ -387,6 +387,21 @@ class TestDeterminism:
             assert runs[0].returncode == runs[1].returncode == code
             assert runs[0].stdout == runs[1].stdout
 
+    def test_sweeps_independent_of_hash_seed(self):
+        # each instance's vectors are drawn in vertex-name order, not in
+        # the hash order of the vertex set
+        for argv in (["census", "--count", "60"], ["oracle-check", "--count", "40"]):
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "degenpart.cli"] + argv,
+                    capture_output=True,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                for seed in ("0", "1")
+            ]
+            assert runs[0].returncode == runs[1].returncode == 0
+            assert runs[0].stdout == runs[1].stdout
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # the answer outgrows the 64 KiB pipe buffer, so the CLI is still
         # writing when the reader closes the pipe after one line

@@ -199,6 +199,21 @@ class TestPointPartitionNumber:
         assert dp.point_partition_number(dp.cycle(5), 1) == 3
         assert dp.point_partition_number(dp.cycle(6), 1) == 2
 
+    @pytest.mark.parametrize(
+        "H, alpha",
+        [
+            (Hypergraph("cabd", {"e1": "ca", "e2": "cb", "e3": "cd"}), 2),  # the star K_{1,3}
+            (dp.t_fold(dp.cycle(5), 2), 3),  # 2C_5
+        ],
+    )
+    def test_level_one_below_max_degree_is_chromatic_number(self, H, alpha, monkeypatch):
+        # chi < max degree, so the answer comes from the oracle branch;
+        # chromatic_number is an exact method that shares no code with it
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, coloring, "brute_partitionable")
+        assert dp.point_partition_number(H, 1) == dp.chromatic_number(H) == alpha
+        assert counts["brute_partitionable"] > 0
+
     def test_empty(self):
         assert dp.point_partition_number(Hypergraph(()), 1) == 0
 

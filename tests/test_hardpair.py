@@ -15,6 +15,7 @@ from conftest import (
     disjoint_union,
     reference_is_hard,
     reference_make_hard,
+    reference_multiplicity,
 )
 
 
@@ -312,6 +313,27 @@ class TestCertificates:
         fns = tuple(dict.fromkeys(b, (3, -1)) if len(b) == 3 else dict.fromkeys(b, (0, 1)) for b in bt.blocks)
         assert not dp.verify_certificate(H, f, dp.HardPairCertificate(bt.blocks, tags, fns))
 
+    @staticmethod
+    def _mismatched(case):
+        """A pair and a certificate that does not belong to it, as case says."""
+        H, f = dp.make_hard(dp.random_hard_plan(3, max_blocks=4, p=3), 3, seed=3)
+        cert = dp.is_hard(H, f)
+        assert len(cert.blocks) > 1 and dp.verify_certificate(H, f, cert)
+        if case == "empty":
+            return Hypergraph(()), VectorFunction(3, {}), cert
+        if case == "disconnected":
+            part = dp.is_hard(*disjoint_union([("a.", H, f)]))
+            return (*disjoint_union([("a.", H, f), ("b.", H, f)]), part)
+        if case == "reversed":
+            return H, f, dp.HardPairCertificate(cert.blocks[::-1], cert.tags[::-1], cert.block_functions[::-1])
+        if case == "tag dropped":
+            return H, f, dp.HardPairCertificate(cert.blocks, cert.tags[:-1], cert.block_functions)
+        return H, VectorFunction(3, {**dict(f.items()), "extra": (0, 0, 0)}), cert
+
+    @pytest.mark.parametrize("case", ["empty", "disconnected", "reversed", "tag dropped", "extra vertex in f"])
+    def test_mismatched_certificate_returns_false(self, case):
+        assert dp.verify_certificate(*self._mismatched(case)) is False
+
     def test_classify_block_returns_certificate_tags(self):
         for seed in range(200):
             p = random.Random(seed).randint(2, 4)
@@ -546,10 +568,9 @@ class TestIsHardCallCounts:
         structure_module = importlib.import_module("degenpart.structure")
         counts: dict[str, int] = {}
         count_calls(monkeypatch, counts, structure_module, "components")
-        count_calls(monkeypatch, counts, Hypergraph, "multiplicity")
         cert = dp.is_hard(H, f)
         assert cert is not None and any(isinstance(tag, CTag) for tag in cert.tags)
-        assert counts == {"components": 0, "multiplicity": 0}
+        assert counts == {"components": 0}
 
 
 class TestHardPairProperties:
@@ -588,7 +609,7 @@ class TestHardPairProperties:
                     if x == 0:
                         continue
                     for v in sorted(H.vertices - {z}):
-                        assert f[v][j] >= H.multiplicity(z, v)
+                        assert f[v][j] >= reference_multiplicity(H, z, v)
 
 
 def _hard_and_raised(seed):

@@ -45,6 +45,12 @@ ERROR_CASES = [
     ("", 0, "missing 'hg <p>' header"),
     # the first vertex record whose vertex has no list
     ("hg 0\nv a\nv b\nl a 1\ne e1 a b\n", 3, "vertices without lists: \\['b'\\]"),
+    # a header or record with too few or too many words
+    ("hg\n", 1, "header must be 'hg <p>'"),
+    ("hg 1 2\nv a 1\n", 1, "header must be 'hg <p>'"),
+    ("hg 0\nv\n", 2, "vertex line needs a name"),
+    ("hg 0\nv a\nv b\ne x a\n", 4, "edge line needs a name and at least two vertices"),
+    ("hg 0\nv a\nl a\n", 3, "list line needs a vertex and at least one color"),
 ]
 
 
