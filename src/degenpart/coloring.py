@@ -155,10 +155,8 @@ def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
     """Backtracking check for a proper coloring choosing from the lists."""
     vs = sorted(H.vertices, key=lambda v: (len(L[v]), v))
     colors = [sorted(L[v], key=str) for v in vs]
-    at: dict[str, list[frozenset[str]]] = {v: [] for v in vs}
-    for m in dict.fromkeys(map(H.incidence, H.edge_ids)):  # parallel edges add nothing
-        for v in m:
-            at[v].append(m)
+    # the distinct incidence sets at each vertex: parallel edges add nothing
+    at = {v: tuple(dict.fromkeys(map(H.incidence, H.edges_at(v)))) for v in vs}
     coloring: dict[str, Color] = {}
 
     def ok(v: str, c: Color) -> bool:

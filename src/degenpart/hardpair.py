@@ -39,6 +39,7 @@ gluing two vertices into a new one, and builds one `Hypergraph` at the end.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
@@ -318,9 +319,12 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
             vstar = f"m{k}"
             glued[v1] = glued[v2] = vstar
             values[vstar] = tuple(a + b for a, b in zip(values.pop(v1), values.pop(v2)))
-            left_vs.remove(v1)
-            right_vs.remove(v2)
-            parts.append(sorted(left_vs + right_vs + [vstar]))
+            del left_vs[bisect_left(left_vs, v1)]
+            del right_vs[bisect_left(right_vs, v2)]
+            small, large = sorted((left_vs, right_vs), key=len)
+            for v in small + [vstar]:  # a merge costs the smaller part, not both
+                insort(large, v)
+            parts.append(large)
             continue
         try:
             B, tag = _base_block(node)

@@ -4,9 +4,11 @@ their domain rules, and the basic construction operators.
 Vertices and edges are named by opaque strings.  Parallel edges are stored
 as distinct edge records (shrinking can turn distinct hyperedges into
 parallel ordinary edges, so multiplicity counters would not survive the
-operators).  Operations return new values, or the value itself when they
-change nothing; a Hypergraph never mutates after construction and is safe
-to share between threads.
+operators).  A hypergraph's one store step builds the index of the edges
+at each vertex, which `edges_at` and `degree` read; every other builder
+hands it only the edges' incidence sets.  Operations return new values, or
+the value itself when they change nothing; a Hypergraph never mutates after
+construction and is safe to share between threads.
 
 A VectorFunction gives each vertex a length-p vector of non-negative
 integers.  `_check_domain` and `_check_lists`, the one copy of each domain
@@ -28,9 +30,10 @@ class Hypergraph:
     parallel edges are allowed and kept as separate records, stored in
     sorted-id order: `edge_ids`, `edges()` and `edges_at` all follow it.
 
-    One store step, `_store`, sets every field.  The constructor checks its
-    input and then stores it; `induced`, `shrink` and the instance reader,
-    whose edges are already checked, call the store step through `_of`.
+    One store step, `_store`, sets every field and is the only code that
+    builds the per-vertex edge index.  The constructor checks its input and
+    then stores it; `induced`, `shrink` and the instance reader, whose edges
+    are already checked, hand the store step their incidence through `_of`.
     """
 
     __slots__ = ("_vertices", "_incidence", "_at")
@@ -38,7 +41,6 @@ class Hypergraph:
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, Iterable[str]] = ()):
         vs = frozenset(vertices)
         incidence: dict[str, frozenset[str]] = {}
-        at: dict[str, list[str]] = {v: [] for v in vs}
         for eid in sorted(edges):
             members = edges[eid]
             if isinstance(members, frozenset):  # a set cannot repeat a vertex
@@ -53,28 +55,30 @@ class Hypergraph:
             if not mset <= vs:
                 raise ValueError(f"edge {eid!r} mentions unknown vertices {sorted(mset - vs)}")
             incidence[eid] = mset
-            for v in mset:
-                at[v].append(eid)
-        self._store(vs, incidence, at)
+        self._store(vs, incidence)
 
-    def _store(self, vertices: frozenset[str], incidence: dict[str, frozenset[str]],
-               at: Mapping[str, Iterable[str]]) -> "Hypergraph":
-        """Set every field from parts taken as given, and return self.
+    def _store(self, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
+        """Set every field from parts taken as given, build the edge index,
+        and return self.
 
         The caller guarantees what the constructor checks: each incidence set
-        is a frozenset of two or more vertices; `incidence` is in sorted-id
-        order; `at` maps each vertex to the ids of its edges in that order.
+        is a frozenset of two or more vertices of `vertices`, and `incidence`
+        is in sorted-id order, so each vertex's edge ids come out in that
+        order too.
         """
+        at: dict[str, list[str]] = {v: [] for v in vertices}
+        for e, m in incidence.items():
+            for v in m:
+                at[v].append(e)
         self._vertices = vertices
         self._incidence = incidence
         self._at = {v: tuple(es) for v, es in at.items()}
         return self
 
     @classmethod
-    def _of(cls, vertices: frozenset[str], incidence: dict[str, frozenset[str]],
-            at: Mapping[str, Iterable[str]]) -> "Hypergraph":
+    def _of(cls, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
         """The hypergraph of checked parts, through the store step alone."""
-        return cls.__new__(cls)._store(vertices, incidence, at)
+        return cls.__new__(cls)._store(vertices, incidence)
 
     # -- basic accessors ------------------------------------------------
 
@@ -146,8 +150,7 @@ class Hypergraph:
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
         met = {e for v in X for e in self._at[v]}
-        kept = {e: m for e in sorted(met) if (m := self._incidence[e]) <= X}
-        return Hypergraph._of(X, kept, {v: [e for e in self._at[v] if e in kept] for v in X})
+        return Hypergraph._of(X, {e: m for e in sorted(met) if (m := self._incidence[e]) <= X})
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
         """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X;
@@ -157,15 +160,7 @@ class Hypergraph:
             return self
         if not X <= self._vertices:
             raise ValueError(f"shrink: {sorted(X - self._vertices)} are not vertices")
-        kept = {}
-        at: dict[str, list[str]] = {v: [] for v in X}
-        for e, m in self._incidence.items():
-            cut = m & X
-            if len(cut) >= 2:
-                kept[e] = cut
-                for v in cut:
-                    at[v].append(e)
-        return Hypergraph._of(X, kept, at)
+        return Hypergraph._of(X, {e: cut for e, m in self._incidence.items() if len(cut := m & X) >= 2})
 
     def shrink_away(self, X: Iterable[str] | str) -> "Hypergraph":
         """H / X, i.e. the hypergraph shrunk to the complement of X."""

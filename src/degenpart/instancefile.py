@@ -21,14 +21,14 @@ One lazy line splitter reads every kind of file: the header comes first, a
 record before it is an error, and every number is an ASCII decimal (no
 sign, no '_').  The answer readers group its lines into header blocks.
 parse_instance reads them in one pass: each record is checked as it is
-read and goes straight into the vertex, edge, edge-index and f-value dicts,
-which Hypergraph and VectorFunction then store without checking again.  A
-header fault anywhere in a file is reported ahead of a record fault.  The
-parse_* readers raise ParseError naming the offending line, and every
-emitted answer reads back: the emit_* writers raise ValueError for a name
-that could not, one that is empty or holds whitespace or '#', and
-emit_instance for f-values or lists not given on exactly V(H), or an
-empty list.
+read and goes straight into the vertex set and the edge and f-value dicts,
+which Hypergraph and VectorFunction then store without checking again (the
+hypergraph's store step builds the edge index from the edges).  A header
+fault anywhere in a file is reported ahead of a record fault.  The parse_*
+readers raise ParseError naming the offending line, and every emitted
+answer reads back: the emit_* writers raise ValueError for a name that
+could not, one that is empty or holds whitespace or '#', and emit_instance
+for f-values or lists not given on exactly V(H), or an empty list.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _read_instance(text: str) -> Instance:
     if len(tok) != 2:
         raise ParseError(line_no, "header must be 'hg <p>'")
     (p,) = _ints(line_no, tok[1:])
-    at: dict[str, list[str]] = {}  # vertex -> ids of its edges, in file order
+    vs: set[str] = set()
     values: dict[str, tuple[int, ...]] = {}
     vectors: dict[tuple[str, ...], tuple[int, ...]] = {}  # each distinct text read once
     lists: dict[str, set[str]] = {}
@@ -94,22 +94,19 @@ def _read_instance(text: str) -> Instance:
             mset = frozenset(members)
             if len(mset) != len(members):
                 raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
-            try:
-                for v in members:
-                    at[v].append(name)
-            except KeyError:
-                unknown = [v for v in members if v not in at]
-                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}") from None
+            if not mset <= vs:
+                unknown = [v for v in members if v not in vs]
+                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
             edges[name] = mset
         elif kind == "v":
             if len(tok) < 2:
                 raise ParseError(line_no, "vertex line needs a name")
             name = tok[1]
-            if name in at:
+            if name in vs:
                 raise ParseError(line_no, f"duplicate vertex {name!r}")
             if len(tok) - 2 != p:
                 raise ParseError(line_no, f"expected {p} values for vertex {name!r}, got {len(tok) - 2}")
-            at[name] = []
+            vs.add(name)
             if p:
                 words = tuple(tok[2:])
                 vec = vectors.get(words)
@@ -122,22 +119,20 @@ def _read_instance(text: str) -> Instance:
             if len(tok) < 3:
                 raise ParseError(line_no, "list line needs a vertex and at least one color")
             name = tok[1]
-            if name not in at:
+            if name not in vs:
                 raise ParseError(line_no, f"list for unknown vertex {name!r}")
             if name in lists:
                 raise ParseError(line_no, f"duplicate list for {name!r}")
             lists[name] = set(tok[2:])
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
-    if lists and len(lists) != len(at):  # every listed vertex is known
+    if lists and len(lists) != len(vs):  # every listed vertex is known
         line_no = next(line_no for line_no, tok in _lines(text) if tok[0] == "v" and tok[1] not in lists)
-        raise ParseError(line_no, f"vertices without lists: {sorted(at.keys() - lists.keys())}")
+        raise ParseError(line_no, f"vertices without lists: {sorted(vs - lists.keys())}")
     ids = sorted(edges)
     if ids != list(edges):  # the store step takes edges in sorted-id order
         edges = {e: edges[e] for e in ids}
-        for es in at.values():
-            es.sort()
-    H = Hypergraph._of(frozenset(at), edges, at)
+    H = Hypergraph._of(frozenset(vs), edges)
     f = VectorFunction._of(p, values) if p else None
     return Instance(H, p, f, lists or None)
 

@@ -370,6 +370,12 @@ def reference_peel_order(H: dp.Hypergraph, h: dict[str, int]) -> tuple[tuple[str
         order.append(v)
 
 
+def reference_edges_at(H: dp.Hypergraph, v: str) -> tuple[str, ...]:
+    """Reference: the ids, in `edge_ids` order, of the edges whose incidence
+    set holds v, read from the incidence sets and not from the edge index."""
+    return tuple(e for e in H.edge_ids if v in H.incidence(e))
+
+
 def reference_multiplicity(H: dp.Hypergraph, u: str, v: str) -> int:
     """Reference: the paper's mu(u, v), the number of ordinary edges with incidence set {u, v}."""
     return sum(1 for m in H.edges().values() if m == {u, v})

@@ -7,7 +7,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import disconnected_instance, reference_multiplicity
+from conftest import disconnected_instance, reference_edges_at, reference_multiplicity
 
 
 def triple_edge():
@@ -90,10 +90,13 @@ class TestOperators:
 
     def test_induced_matches_whole_edge_scan(self, sweep):
         # induced reads only the edges at X; the copy equals the one built
-        # from every edge of H, and keeps its edges in sorted-id order
+        # from every edge of H, keeps its edges in sorted-id order, and its
+        # edge index lists at each vertex the edges that hold it
         rng = random.Random(7)
         graphs = list({id(r.H): r.H for r in sweep.records}.values())
         graphs += [disconnected_instance(seed)[0] for seed in range(30)]
+        hard = [dp.make_hard(dp.random_hard_plan(seed, max_blocks=8, p=3), 3, seed=seed)[0] for seed in range(20)]
+        graphs += hard + [dp.t_fold(H, 3) for H in hard]
         disconnected = 0
         for H in graphs:
             vs = sorted(H.vertices)
@@ -102,14 +105,14 @@ class TestOperators:
                 G = H.induced(X)
                 assert G == Hypergraph(X, {e: m for e, m in H.edges().items() if m <= X})
                 assert list(G.edges()) == sorted(G.edges()) == list(G.edge_ids)
-                assert all(list(G.edges_at(v)) == sorted(G.edges_at(v)) for v in X)
+                assert all(G.edges_at(v) == reference_edges_at(G, v) for v in X)
                 disconnected += len(dp.components(G)) > 1
         assert len(graphs) >= 1000 and disconnected >= 300
 
     def test_shrink_matches_constructor(self, sweep):
         # shrink stores its truncated edges without a second check; the
         # value equals the one the validating constructor builds, in the
-        # same sorted-id order
+        # same sorted-id order, and its edge index matches the incidence
         rng = random.Random(11)
         graphs = list({id(r.H): r.H for r in sweep.records}.values())[:300]
         graphs += [dp.random_hypergraph(12, 14, max_arity=4, seed=seed) for seed in range(30)]
@@ -120,7 +123,7 @@ class TestOperators:
                 kept = {e: m & X for e, m in H.edges().items() if len(m & X) >= 2}
                 assert G == Hypergraph(X, kept)
                 assert G.edge_ids == Hypergraph(X, kept).edge_ids == tuple(sorted(kept))
-                assert all(G.edges_at(v) == Hypergraph(X, kept).edges_at(v) for v in X)
+                assert all(G.edges_at(v) == reference_edges_at(G, v) for v in X)
 
     def test_edges_in_sorted_id_order(self):
         H = Hypergraph("abcd", {"e3": "cd", "e1": "ab", "e10": "bc", "e2": "da"})

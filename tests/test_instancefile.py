@@ -11,7 +11,7 @@ import degenpart as dp
 from degenpart.cli import main
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import reference_parse_instance
+from conftest import reference_edges_at, reference_parse_instance
 from degenpart.instancefile import (
     Instance,
     ParseError,
@@ -293,7 +293,7 @@ def _assert_reads_as_reference(text):
     assert isinstance(got, Instance), (got, text)
     assert (got.p, got.f, got.lists, got.H) == (want.p, want.f, want.lists, want.H), text
     assert got.H.edge_ids == want.H.edge_ids
-    assert all(got.H.edges_at(v) == want.H.edges_at(v) for v in want.H.vertices)
+    assert all(got.H.edges_at(v) == reference_edges_at(want.H, v) for v in want.H.vertices)
 
 
 _GAPS = (" ", "  ", "\t", " \t ")
@@ -346,6 +346,18 @@ class TestReadsAsReference:
             ids = [line.split()[1] for line in text.splitlines() if line.lstrip().startswith("e")]
             scrambled += ids != sorted(ids)
         assert scrambled >= 100
+
+    def test_edge_lines_reversed(self):
+        # make_hard pairs and their t_fold copies, whose ids sort apart from
+        # the order t_fold makes them in, with every edge line out of order
+        for seed in range(10):
+            H, f = dp.make_hard(dp.random_hard_plan(seed, max_blocks=6, p=3), 3, seed=seed)
+            for G in (H, dp.t_fold(H, 2)):
+                lines = emit_instance(G, f).splitlines(keepends=True)
+                edges = [line for line in lines if line.startswith("e ")]
+                text = "".join([line for line in lines if not line.startswith("e ")] + edges[::-1])
+                _assert_reads_as_reference(text)
+                assert parse_instance(text).H == G
 
     def test_builds_no_validated_copy(self, monkeypatch):
         # the reader stores what it has checked; it never calls the
