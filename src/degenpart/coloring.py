@@ -116,6 +116,11 @@ def point_partition_number(H: Hypergraph, s: int, strict: bool = True) -> int:
     strict=True counts strictly s-degenerate classes; strict=False uses
     the convention where "s-degenerate" means strictly (s+1)-degenerate,
     so the two differ by a shift of the level.
+
+    p = 1 is decided by peeling, and every p with p * level >= max degree
+    by `solve`.  Each p below that goes to the brute-force oracle; when it
+    refuses one, ValueError gives the proven bounds, never a value:
+    "alpha: <p> <= alpha <= <upper>; ..." ending with the oracle's reason.
     """
     if s < (1 if strict else 0):
         raise ValueError("degeneracy level out of range")
@@ -125,17 +130,24 @@ def point_partition_number(H: Hypergraph, s: int, strict: bool = True) -> int:
     # one class: H itself must be strictly level-degenerate, which peeling decides
     if is_strictly_degenerate(H, dict.fromkeys(H.vertices, level)):
         return 1
-    dmax = H.max_degree()
-    p = 2
-    while True:
-        f = VectorFunction.constant(H.vertices, (level,) * p)
-        if p * level >= dmax:
-            if solve(H, f).partitionable:
-                return p
-        else:
-            if brute_partitionable(H, f).partitionable:
-                return p
-        p += 1
+    solved = -(-H.max_degree() // level)  # the least p with p * level >= max degree
+    for p in range(2, solved):
+        try:
+            verdict = brute_partitionable(H, VectorFunction.constant(H.vertices, (level,) * p))
+        except ValueError as exc:
+            upper = _least_partitioned(H, level, solved)
+            raise ValueError(f"alpha: {p} <= alpha <= {upper}; the exact value is not proven: {exc}") from None
+        if verdict.partitionable:
+            return p
+    return _least_partitioned(H, level, max(solved, 2))
+
+
+def _least_partitioned(H: Hypergraph, level: int, start: int) -> int:
+    """The least p >= start at which `solve` splits H into p strictly
+    level-degenerate classes.  With start * level >= max degree the search
+    ends by max degree // level + 1, where every vertex has slack."""
+    return next(p for p in itertools.count(start)
+                if solve(H, VectorFunction.constant(H.vertices, (level,) * p)).partitionable)
 
 
 # -- choosability -------------------------------------------------------

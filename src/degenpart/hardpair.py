@@ -33,7 +33,7 @@ case, and `partition.solve` and the CLI's is-hard call `hard_components`.
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
 It accumulates vertices, edges and f in shared dicts, with each merge
-gluing two vertices into a new one, and builds one `Hypergraph` at the end.
+gluing two vertices into a new one, and stores its valid parts at the end.
 """
 
 from __future__ import annotations
@@ -343,8 +343,8 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
     # resolving in reverse order meets each m<k>'s final name first
     for old, new in reversed(glued.items()):
         glued[old] = glued.get(new, new)
-    final = {e: [glued.get(v, v) for v in m] for e, m in edges.items()}
-    return Hypergraph(values.keys(), final), VectorFunction(p, values)
+    final = {e: frozenset([glued.get(v, v) for v in m]) for e, m in edges.items()}
+    return Hypergraph._of(frozenset(values), final), VectorFunction._of(p, values)
 
 
 def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:

@@ -4,11 +4,12 @@ their domain rules, and the basic construction operators.
 Vertices and edges are named by opaque strings.  Parallel edges are stored
 as distinct edge records (shrinking can turn distinct hyperedges into
 parallel ordinary edges, so multiplicity counters would not survive the
-operators).  A hypergraph's one store step builds the index of the edges
-at each vertex, which `edges_at` and `degree` read; every other builder
-hands it only the edges' incidence sets.  Operations return new values, or
-the value itself when they change nothing; a Hypergraph never mutates after
-construction and is safe to share between threads.
+operators).  A hypergraph's one store step sorts its edges by id and
+indexes the edges at each vertex for `edges_at` and `degree`; the library's
+builders hand it valid incidence sets in any order, and only outside input
+passes the constructor's checks.  Operations return new values, or the
+value itself when they change nothing; a Hypergraph never mutates and is
+safe to share between threads.
 
 A VectorFunction gives each vertex a length-p vector of non-negative
 integers.  `_check_domain` and `_check_lists`, the one copy of each domain
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import insort
 from collections import Counter
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -30,10 +32,9 @@ class Hypergraph:
     parallel edges are allowed and kept as separate records, stored in
     sorted-id order: `edge_ids`, `edges()` and `edges_at` all follow it.
 
-    One store step, `_store`, sets every field and is the only code that
-    builds the per-vertex edge index.  The constructor checks its input and
-    then stores it; `induced`, `shrink` and the instance reader, whose edges
-    are already checked, hand the store step their incidence through `_of`.
+    One store step, `_store`, sets every field, sorts the edges and builds
+    the per-vertex edge index.  The constructor checks outside input and
+    then stores it; the library's own builders call `_of` with valid parts.
     """
 
     __slots__ = ("_vertices", "_incidence", "_at")
@@ -58,14 +59,15 @@ class Hypergraph:
         self._store(vs, incidence)
 
     def _store(self, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
-        """Set every field from parts taken as given, build the edge index,
-        and return self.
+        """Set every field from parts taken as given, in any edge order, and
+        return self: the edges, and the edge ids at each vertex, go into
+        sorted-id order.
 
-        The caller guarantees what the constructor checks: each incidence set
-        is a frozenset of two or more vertices of `vertices`, and `incidence`
-        is in sorted-id order, so each vertex's edge ids come out in that
-        order too.
+        The caller guarantees what the constructor checks: each incidence
+        set is a frozenset of two or more vertices of `vertices`.
         """
+        if list(incidence) != (ids := sorted(incidence)):
+            incidence = {e: incidence[e] for e in ids}
         at: dict[str, list[str]] = {v: [] for v in vertices}
         for e, m in incidence.items():
             for v in m:
@@ -77,7 +79,7 @@ class Hypergraph:
 
     @classmethod
     def _of(cls, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
-        """The hypergraph of checked parts, through the store step alone."""
+        """The hypergraph of checked parts in any edge order, through the store step alone."""
         return cls.__new__(cls)._store(vertices, incidence)
 
     # -- basic accessors ------------------------------------------------
@@ -150,7 +152,7 @@ class Hypergraph:
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
         met = {e for v in X for e in self._at[v]}
-        return Hypergraph._of(X, {e: m for e in sorted(met) if (m := self._incidence[e]) <= X})
+        return Hypergraph._of(X, {e: m for e in met if (m := self._incidence[e]) <= X})
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
         """Shrink to X: keep edges meeting X in >= 2 vertices, truncated to X;
@@ -294,7 +296,7 @@ def merge(H1: Hypergraph, v1: str, H2: Hypergraph, v2: str, vstar: str) -> Hyper
     for H, old in ((H1, v1), (H2, v2)):
         for e, m in H.edges().items():
             edges[e] = (m - {old}) | {vstar} if old in m else m
-    return Hypergraph(vertices, edges)
+    return Hypergraph._of(vertices, edges)
 
 
 # -- stock constructions ------------------------------------------------
@@ -309,8 +311,8 @@ def complete_uniform(n: int, q: int) -> Hypergraph:
     if n < 2 or not 2 <= q <= n:
         raise ValueError(f"complete_uniform needs n >= 2 and 2 <= q <= n, got n={n}, q={q}")
     vs = _vnames(n)
-    edges = {f"e{i}": members for i, members in enumerate(itertools.combinations(vs, q), start=1)}
-    return Hypergraph(vs, edges)
+    edges = {f"e{i}": frozenset(members) for i, members in enumerate(itertools.combinations(vs, q), start=1)}
+    return Hypergraph._of(frozenset(vs), edges)
 
 
 def cycle(n: int) -> Hypergraph:
@@ -318,8 +320,8 @@ def cycle(n: int) -> Hypergraph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     vs = _vnames(n)
-    edges = {f"e{i}": (vs[i - 1], vs[i % n]) for i in range(1, n + 1)}
-    return Hypergraph(vs, edges)
+    edges = {f"e{i}": frozenset((vs[i - 1], vs[i % n])) for i in range(1, n + 1)}
+    return Hypergraph._of(frozenset(vs), edges)
 
 
 def path(n: int) -> Hypergraph:
@@ -327,8 +329,8 @@ def path(n: int) -> Hypergraph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     vs = _vnames(n)
-    edges = {f"e{i}": (vs[i - 1], vs[i]) for i in range(1, n)}
-    return Hypergraph(vs, edges)
+    edges = {f"e{i}": frozenset((vs[i - 1], vs[i])) for i in range(1, n)}
+    return Hypergraph._of(frozenset(vs), edges)
 
 
 def t_fold(H: Hypergraph, t: int) -> Hypergraph:
@@ -338,7 +340,7 @@ def t_fold(H: Hypergraph, t: int) -> Hypergraph:
     if t == 1:
         return H
     edges = {f"{e}.{k}": m for e, m in H.edges().items() for k in range(1, t + 1)}
-    return Hypergraph(H.vertices, edges)
+    return Hypergraph._of(H.vertices, edges)
 
 
 def random_hypergraph(
@@ -374,22 +376,24 @@ def random_hypergraph(
             edges[f"e{eid}"] = members
             if q == 2:
                 mult[members] = mult.get(members, 0) + 1
-    H = Hypergraph(vs, edges)
+    H = Hypergraph._of(frozenset(vs), edges)
     if connected and n >= 2:
         from .structure import components
 
         # join each component, by smallest vertex, to the union of the earlier ones
         first, *rest = components(H)
         joined = sorted(first)
+        edges = H.edges()  # a fresh dict: H keeps the one it was stored from
         for comp in rest:
             members = sorted(comp)
             a = rng.choice(joined)
             b = rng.choice(members)
             eid += 1
             edges[f"e{eid}"] = frozenset((a, b))
-            joined = sorted(joined + members)
+            for v in members:
+                insort(joined, v)
         if rest:
-            H = Hypergraph(vs, edges)
+            H = Hypergraph._of(H.vertices, edges)
     return H
 
 

@@ -23,7 +23,7 @@ sign, no '_').  The answer readers group its lines into header blocks.
 parse_instance reads them in one pass: each record is checked as it is
 read and goes straight into the vertex set and the edge and f-value dicts,
 which Hypergraph and VectorFunction then store without checking again (the
-hypergraph's store step builds the edge index from the edges).  A header
+hypergraph's store step sorts the edges by id and indexes them).  A header
 fault anywhere in a file is reported ahead of a record fault.  The parse_*
 readers raise ParseError naming the offending line, and every emitted
 answer reads back: the emit_* writers raise ValueError for a name that
@@ -129,9 +129,6 @@ def _read_instance(text: str) -> Instance:
     if lists and len(lists) != len(vs):  # every listed vertex is known
         line_no = next(line_no for line_no, tok in _lines(text) if tok[0] == "v" and tok[1] not in lists)
         raise ParseError(line_no, f"vertices without lists: {sorted(vs - lists.keys())}")
-    ids = sorted(edges)
-    if ids != list(edges):  # the store step takes edges in sorted-id order
-        edges = {e: edges[e] for e in ids}
     H = Hypergraph._of(frozenset(vs), edges)
     f = VectorFunction._of(p, values) if p else None
     return Instance(H, p, f, lists or None)

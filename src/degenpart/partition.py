@@ -207,6 +207,7 @@ def verify_partition(H: Hypergraph, f: VectorFunction, P: dict[str, int]) -> boo
     _check_domain(H, f)
     if set(P) != set(H.vertices) or not all(1 <= i <= f.p for i in P.values()):
         return False
+    # the constructor, not Hypergraph._of: bench/spans.py counts Hypergraph.__init__ calls
     classes = Hypergraph(H.vertices, _inside_edges(H, P))
     return bool(is_strictly_degenerate(classes, {v: f[v][i - 1] for v, i in P.items()}))
 

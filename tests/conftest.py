@@ -354,6 +354,44 @@ def reference_components(H: dp.Hypergraph) -> list[frozenset[str]]:
     return out
 
 
+def reference_random_hypergraph(
+    n: int, m: int, max_arity: int = 3, max_mult: int = 2, seed: int = 0, connected: bool = False
+) -> dp.Hypergraph:
+    """Reference: `random_hypergraph` as the validating constructor builds
+    it, joining each component to the union of the earlier ones by
+    re-sorting that union after every join."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    edges: dict[str, frozenset[str]] = {}
+    mult: dict[frozenset[str], int] = {}
+    eid = 0
+    if n >= 2:
+        for _ in range(4 * m):
+            if len(edges) >= m:
+                break
+            q = rng.randint(2, min(max_arity, n))
+            members = frozenset(rng.sample(vs, q))
+            if q == 2 and mult.get(members, 0) >= max_mult:
+                continue
+            eid += 1
+            edges[f"e{eid}"] = members
+            if q == 2:
+                mult[members] = mult.get(members, 0) + 1
+    H = dp.Hypergraph(vs, edges)
+    if connected and n >= 2:
+        first, *rest = reference_components(H)
+        joined = sorted(first)
+        for comp in rest:
+            members = sorted(comp)
+            a = rng.choice(joined)
+            b = rng.choice(members)
+            eid += 1
+            edges[f"e{eid}"] = frozenset((a, b))
+            joined = sorted(joined + members)
+        H = dp.Hypergraph(vs, edges)
+    return H
+
+
 def reference_peel_order(H: dp.Hypergraph, h: dict[str, int]) -> tuple[tuple[str, ...], frozenset[str]]:
     """Reference: repeatedly remove the smallest vertex whose degree in the
     subhypergraph induced by the vertices left is below h; the removal order

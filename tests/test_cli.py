@@ -165,6 +165,13 @@ class TestCommands:
         path12 = write(tmp_path, "p12.hg", emit_instance(dp.path(12)))
         assert main(["alpha", path12, "--s", "1"]) == 0
         assert capsys.readouterr().out == "alpha 2\n"
+        # past the oracle's range: the proven bounds, as an error
+        path = write(tmp_path, "k12.hg", emit_instance(dp.complete_uniform(12, 2)))
+        assert main(["alpha", path, "--s", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: alpha: 2 <= alpha <= 6; ")
+        assert err.endswith("brute_partitionable guard exceeded (n=12, p=2)\n")
 
     def test_gen_round_trips(self, capsys):
         assert main(["gen", "cycle", "--n", "6"]) == 0

@@ -217,6 +217,38 @@ class TestPointPartitionNumber:
     def test_empty(self):
         assert dp.point_partition_number(Hypergraph(()), 1) == 0
 
+    def test_bounds_past_the_oracle(self):
+        # K12 at level 2: p = 1 fails by peeling, the oracle refuses p = 2
+        # (n = 12), and solve partitions at p = 6, the least p with 2p >= 11
+        with pytest.raises(ValueError) as exc:
+            dp.point_partition_number(dp.complete_uniform(12, 2), 2)
+        assert str(exc.value) == (
+            "alpha: 2 <= alpha <= 6; the exact value is not proven: brute_partitionable guard exceeded (n=12, p=2)"
+        )
+
+    def test_bounds_bracket_the_chromatic_number(self):
+        # at level 1 the answer is the chromatic number, an exact method that
+        # shares no code with the bounds; 2C_11 and C_11 + chord are past the oracle
+        chord = Hypergraph(dp.cycle(11).vertices, {**dp.cycle(11).edges(), "x": ("v1", "v6")})
+        for H, lo, hi in ((dp.t_fold(dp.cycle(11), 2), 2, 4), (chord, 2, 3)):
+            with pytest.raises(ValueError, match=rf"^alpha: {lo} <= alpha <= {hi}; .*\(n=11, p=2\)$"):
+                dp.point_partition_number(H, 1)
+            assert lo <= dp.chromatic_number(H) <= hi
+
+    def test_lower_bound_is_the_refused_p(self, monkeypatch):
+        # every p below the refused one failed in the oracle: K5 at level 1
+        # with an oracle that refuses p >= 3, after p = 2 failed in it
+        real = coloring.brute_partitionable
+
+        def refuse_from_3(H, f):
+            if f.p >= 3:
+                raise ValueError(f"guard (p={f.p})")
+            return real(H, f)
+
+        monkeypatch.setattr(coloring, "brute_partitionable", refuse_from_3)
+        with pytest.raises(ValueError, match=r"^alpha: 3 <= alpha <= 5; .*: guard \(p=3\)$"):
+            dp.point_partition_number(dp.complete_uniform(5, 2), 1)
+
 
 class TestChoosability:
     def test_values(self):

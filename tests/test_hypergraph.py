@@ -7,7 +7,8 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import disconnected_instance, reference_edges_at, reference_multiplicity
+from degenpart.instancefile import emit_instance
+from conftest import disconnected_instance, reference_edges_at, reference_multiplicity, reference_random_hypergraph
 
 
 def triple_edge():
@@ -171,6 +172,81 @@ class TestOperators:
                     assert Hv.degree(u) == H.degree(u) - reference_multiplicity(H, u, v)
                     checks += 1
         assert checks >= 1000
+
+
+class TestStoreStep:
+    def test_of_sorts_incidence_in_any_order(self, sweep):
+        # the store step alone puts incidence handed over shuffled or
+        # reversed into sorted-id order, both in the edge ids and in the
+        # edges at each vertex
+        rng = random.Random(13)
+        graphs = list({id(r.H): r.H for r in sweep.records}.values())[:300]
+        hard = [dp.make_hard(dp.random_hard_plan(seed, max_blocks=8, p=3), 3, seed=seed)[0] for seed in range(20)]
+        graphs += hard + [dp.t_fold(H, 3) for H in hard]
+        unsorted = 0
+        for H in graphs:
+            items = list(H.edges().items())
+            shuffled = rng.sample(items, len(items))
+            for order in (shuffled, items[::-1]):
+                unsorted += order != items
+                G = Hypergraph._of(H.vertices, dict(order))
+                assert G == H and G.edge_ids == tuple(sorted(H.edge_ids)) == tuple(G.edges())
+                assert all(G.edges_at(v) == reference_edges_at(G, v) for v in G.vertices)
+        assert unsorted >= 400
+
+
+def _same(G: Hypergraph, R: Hypergraph) -> None:
+    """G equals R, with the same edge order and the same edges at each vertex."""
+    assert G == R and G.edge_ids == R.edge_ids
+    assert all(G.edges_at(v) == R.edges_at(v) == reference_edges_at(R, v) for v in R.vertices)
+
+
+class TestBuildersMatchDefinitions:
+    # each stock construction stores its parts without the constructor's
+    # checks; it equals the hypergraph the constructor builds from its
+    # definition, written out here
+
+    def test_complete_uniform(self):
+        for n in range(2, 9):
+            vs = [f"v{i}" for i in range(1, n + 1)]
+            for q in range(2, n + 1):
+                combos = itertools.combinations(vs, q)
+                _same(dp.complete_uniform(n, q), Hypergraph(vs, {f"e{i}": m for i, m in enumerate(combos, start=1)}))
+
+    def test_cycle_and_path(self):
+        for n in range(1, 25):
+            vs = [f"v{i}" for i in range(1, n + 1)]
+            _same(dp.path(n), Hypergraph(vs, {f"e{i}": (vs[i - 1], vs[i]) for i in range(1, n)}))
+            if n >= 3:
+                _same(dp.cycle(n), Hypergraph(vs, {f"e{i}": (vs[i - 1], vs[i % n]) for i in range(1, n + 1)}))
+
+    def test_t_fold(self):
+        graphs = [dp.cycle(11), dp.complete_uniform(5, 2), dp.complete_uniform(4, 3), dp.path(1)]
+        graphs += [dp.random_hypergraph(9, 12, max_arity=4, seed=seed) for seed in range(10)]
+        for H in graphs:
+            assert dp.t_fold(H, 1) is H
+            for t in range(2, 5):
+                edges = {f"{e}.{k}": m for e, m in H.edges().items() for k in range(1, t + 1)}
+                _same(dp.t_fold(H, t), Hypergraph(H.vertices, edges))
+
+    def test_random_hypergraph(self):
+        for n in range(1, 13):
+            for m in range(0, 13, 3):
+                for seed in range(3):
+                    for arity, connected in ((2, False), (3, True), (4, True)):
+                        G = dp.random_hypergraph(n, m, max_arity=arity, seed=seed, connected=connected)
+                        R = reference_random_hypergraph(n, m, max_arity=arity, seed=seed, connected=connected)
+                        _same(G, R)
+                        assert emit_instance(G) == emit_instance(R)
+
+    def test_random_hypergraph_joins_thousands_of_components(self):
+        # each join inserts the new component's vertices into the sorted
+        # union, so every draw and every byte stay those of the re-sorting
+        # reference
+        G = dp.random_hypergraph(5000, 10, seed=1, connected=True)
+        R = reference_random_hypergraph(5000, 10, seed=1, connected=True)
+        assert G.size >= 4900 and dp.components(G) == [G.vertices]
+        assert emit_instance(G) == emit_instance(R)
 
 
 class TestMerge:
