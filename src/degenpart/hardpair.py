@@ -32,22 +32,26 @@ case, and `partition.solve` and the CLI's is-hard call `hard_components`.
 
 `make_hard` walks a plan of base blocks and merges (the paper's merging of
 a vertex) once, in post-order with an explicit stack, so any depth works.
-It accumulates vertices, edges and f in shared dicts, with each merge
-gluing two vertices into a new one, and stores its valid parts at the end.
+It builds no `Hypergraph` per base block.  Each distinct block is named
+once per plan: tK_n and tC_n straight from their parameters, with the
+names the stock constructions give, and a monoblock's own hypergraph
+after one skeleton search shows it is one block; `block_function` checks
+each distinct base node once.  Block k's vertices become "b<k>.<v>", one
+string each, which its edges share; each merge glues two vertices into a
+new one, and the valid parts are stored once, at the end.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Collection, Mapping
 
-from .hypergraph import (Hypergraph, VectorFunction, _check_domain, _complete_shape, _cycle_shape,
-                         complete_uniform, cycle, t_fold)
-from .structure import RootedBlock, block_forest, blocks, rooted_blocks
+from .hypergraph import (Hypergraph, VectorFunction, _check_domain, _complete, _complete_shape, _cycle,
+                         _cycle_shape, _fold, complete_uniform, cycle, t_fold)
+from .structure import RootedBlock, _is_one_block, block_forest, rooted_blocks
 
 
 # -- block type tags ----------------------------------------------------
@@ -176,7 +180,7 @@ def _recognize(
 
 def classify_block(B: Hypergraph, fB: VectorFunction) -> BlockTypeTag | None:
     """The base type of one block: is_hard's single tag, or None if no match."""
-    if len(blocks(B).blocks) != 1:
+    if not _is_one_block(B):
         raise ValueError("classify_block expects a connected block without separating vertices")
     cert = is_hard(B, fB)
     return cert.tags[0] if cert else None
@@ -298,7 +302,9 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
     """
     rng = random.Random(seed)
     values: dict[str, tuple[int, ...]] = {}
-    edges: dict[str, list[str]] = {}
+    named: dict[tuple, _Block] = {}  # see _base_block
+    shares: dict[tuple, tuple[_Block, list[tuple[int, ...]]]] = {}
+    built: list[tuple[str, list[str], list[tuple[list[str], itemgetter]]]] = []  # prefix, names, edges
     glued: dict[str, str] = {}
     parts: list[list[str]] = []  # sorted vertex names of each finished part
     k = 0
@@ -318,50 +324,110 @@ def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
             v2 = rng.choice(right_vs)
             vstar = f"m{k}"
             glued[v1] = glued[v2] = vstar
-            values[vstar] = tuple(a + b for a, b in zip(values.pop(v1), values.pop(v2)))
+            values[vstar] = tuple(map(add, values.pop(v1), values.pop(v2)))
             del left_vs[bisect_left(left_vs, v1)]
             del right_vs[bisect_left(right_vs, v2)]
-            small, large = sorted((left_vs, right_vs), key=len)
+            small, large = (right_vs, left_vs) if len(right_vs) < len(left_vs) else (left_vs, right_vs)
             for v in small + [vstar]:  # a merge costs the smaller part, not both
                 insort(large, v)
             parts.append(large)
             continue
         try:
-            B, tag = _base_block(node)
-            share = block_function(B.vertices, Counter(B.edges().values()), tag, p)
+            (vs, _, edges), vecs = _base_block(node, p, named, shares)
         except (TypeError, AttributeError) as exc:  # a parameter of the wrong type
             raise ValueError(f"malformed {node[0]} plan {node!r}: {exc}") from None
-        if share is None:
-            raise ValueError(f"{node[0]} plan parameters are invalid for p = {p}")
-        name = {v: f"b{k}.{v}" for v in B.vertices}
-        for v, vec in share.items():
-            values[name[v]] = vec
-        for e in B.edge_ids:
-            edges[f"b{k}.{e}"] = [name[v] for v in B.incidence(e)]
-        parts.append(sorted(name.values()))
+        prefix = f"b{k}."
+        names = [prefix + v for v in vs]  # one string per name, shared by the edges
+        values.update(zip(names, vecs))
+        built.append((prefix, names, edges))
+        parts.append(names.copy())
     # a name glued into m<k> was recorded before m<k> itself was glued, so
     # resolving in reverse order meets each m<k>'s final name first
     for old, new in reversed(glued.items()):
         glued[old] = glued.get(new, new)
-    final = {e: frozenset([glued.get(v, v) for v in m]) for e, m in edges.items()}
+    final: dict[str, frozenset[str]] = {}
+    for prefix, names, edges in built:
+        names = [glued.get(v, v) for v in names]
+        for ids, members in edges:
+            m = frozenset(members(names))  # one set for the parallel edges
+            for e in ids:
+                final[prefix + e] = m
     return Hypergraph._of(frozenset(values), final), VectorFunction._of(p, values)
 
 
-def _base_block(plan) -> tuple[Hypergraph, BlockTypeTag]:
-    """The block and tag of an M, K or C plan, with the block's own names."""
-    kind = plan[0]
+# A base block under its own names: its sorted vertex names, its edge
+# multiset, and for each distinct incidence set the names of its parallel
+# edges with a getter of its members from a list of names in the vertex
+# names' order.
+_Block = tuple[list[str], dict[frozenset[str], int], list[tuple[list[str], itemgetter]]]
+
+
+def _base_block(
+    node, p: int, named: dict[tuple, _Block], shares: dict[tuple, tuple[_Block, list[tuple[int, ...]]]]
+) -> tuple[_Block, list[tuple[int, ...]]]:
+    """The block of an M, K or C plan node and its share of f in its vertex
+    order; ValueError when the node is invalid for p.
+
+    named holds each distinct block named so far, and shares each distinct
+    node's block and share, checked by `block_function`, so that one plan
+    names and checks each once.
+    """
+    kind = node[0]
     if kind == "M":
-        _, B, j = plan
-        if len(blocks(B).blocks) != 1:
+        _, B, j = node
+        params = (B, j)
+    elif kind == "K":
+        _, t, counts = node
+        counts = tuple(counts)
+        params = (t, *counts)
+    elif kind == "C":
+        _, t, n, k, l = node
+        params = (t, n, k, l)
+    else:
+        raise ValueError(f"unknown plan kind {kind!r}")
+    # 1, 1.0 and True are equal keys, but as parameters they build different
+    # blocks or none, so the keys carry the parameters' types
+    key = (kind, *params, *map(type, params))
+    found = shares.get(key)
+    if found is None:
+        if kind == "M":
+            shape, tag = ("M", B), MTag(j)
+        elif kind == "K":
+            shape, tag = ("K", sum(counts) + 1, t), KTag(t, counts)
+        else:
+            shape, tag = ("C", n, t), CTag(t, k, l)
+        shape += tuple(map(type, shape[1:]))
+        block = named.get(shape)
+        if block is None:
+            block = named[shape] = _named_block(shape)
+        vs, edges, _ = block
+        share = block_function(vs, edges, tag, p)
+        if share is None:
+            raise ValueError(f"{kind} plan parameters are invalid for p = {p}")
+        found = shares[key] = block, [share[v] for v in vs]
+    return found
+
+
+def _named_block(shape: tuple) -> _Block:
+    """The block of an ("M", B, ...), ("K", n, t, ...) or ("C", n, t, ...)
+    shape: B, which must be one block, or tK_n or tC_n under the stock
+    constructions' names."""
+    if shape[0] == "M":
+        B = shape[1]
+        if not _is_one_block(B):
             raise ValueError("M plan block must be connected without separating vertices")
-        return B, MTag(j)
-    if kind == "K":
-        _, t, counts = plan
-        return t_fold(complete_uniform(sum(counts) + 1, 2), t), KTag(t, tuple(counts))
-    if kind == "C":
-        _, t, n, k, l = plan
-        return t_fold(cycle(n), t), CTag(t, k, l)
-    raise ValueError(f"unknown plan kind {kind!r}")
+        vs, edges = B.vertices, B.edges()
+    else:
+        kind, n, t = shape[:3]
+        vs, edges = _complete(n, 2) if kind == "K" else _cycle(n)
+        edges = _fold(edges, t)
+    vs = sorted(vs)
+    at = {v: i for i, v in enumerate(vs)}
+    parallel: dict[frozenset[str], list[str]] = {}
+    for e, m in edges.items():
+        parallel.setdefault(m, []).append(e)
+    multiset = {m: len(ids) for m, ids in parallel.items()}
+    return vs, multiset, [(ids, itemgetter(*[at[v] for v in m])) for m, ids in parallel.items()]
 
 
 def random_hard_plan(seed: int, max_blocks: int = 4, p: int = 2):

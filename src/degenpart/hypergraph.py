@@ -268,7 +268,7 @@ def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
 
 def _check_domain(H: Hypergraph, f: VectorFunction) -> None:
     """ValueError unless f is defined on exactly V(H)."""
-    if f.vertices != H.vertices:
+    if f._values.keys() != H.vertices:  # a set comparison that builds no set
         raise ValueError("vector function domain does not match the hypergraph")
 
 
@@ -303,24 +303,49 @@ def merge(H1: Hypergraph, v1: str, H2: Hypergraph, v2: str, vstar: str) -> Hyper
 
 
 def _vnames(n: int) -> list[str]:
+    """v1 .. vn: the vertex names of the stock constructions."""
     return [f"v{i}" for i in range(1, n + 1)]
+
+
+def _enames(members: Iterable[frozenset[str]]) -> dict[str, frozenset[str]]:
+    """e1, e2, ...: the edge names of the stock constructions, given to members in order."""
+    return {f"e{i}": m for i, m in enumerate(members, start=1)}
+
+
+def _complete(n: int, q: int) -> tuple[list[str], dict[str, frozenset[str]]]:
+    """The named vertices and edges of K_n^q."""
+    if n < 2 or not 2 <= q <= n:
+        raise ValueError(f"complete_uniform needs n >= 2 and 2 <= q <= n, got n={n}, q={q}")
+    vs = _vnames(n)
+    return vs, _enames(map(frozenset, itertools.combinations(vs, q)))
+
+
+def _cycle(n: int) -> tuple[list[str], dict[str, frozenset[str]]]:
+    """The named vertices and edges of C_n."""
+    if n < 3:
+        raise ValueError(f"cycle needs n >= 3, got {n}")
+    vs = _vnames(n)
+    return vs, _enames(frozenset((vs[i - 1], vs[i % n])) for i in range(1, n + 1))
+
+
+def _fold(edges: dict[str, frozenset[str]], t: int) -> dict[str, frozenset[str]]:
+    """Each edge e replaced by t parallel copies e.1 .. e.t; edges itself when t = 1."""
+    if t < 1:
+        raise ValueError(f"t_fold needs t >= 1, got {t}")
+    if t == 1:
+        return edges
+    return {f"{e}.{k}": m for e, m in edges.items() for k in range(1, t + 1)}
 
 
 def complete_uniform(n: int, q: int) -> Hypergraph:
     """The complete q-uniform hypergraph K_n^q (q = 2 gives K_n)."""
-    if n < 2 or not 2 <= q <= n:
-        raise ValueError(f"complete_uniform needs n >= 2 and 2 <= q <= n, got n={n}, q={q}")
-    vs = _vnames(n)
-    edges = {f"e{i}": frozenset(members) for i, members in enumerate(itertools.combinations(vs, q), start=1)}
+    vs, edges = _complete(n, q)
     return Hypergraph._of(frozenset(vs), edges)
 
 
 def cycle(n: int) -> Hypergraph:
     """The ordinary cycle C_n."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
-    vs = _vnames(n)
-    edges = {f"e{i}": frozenset((vs[i - 1], vs[i % n])) for i in range(1, n + 1)}
+    vs, edges = _cycle(n)
     return Hypergraph._of(frozenset(vs), edges)
 
 
@@ -329,18 +354,13 @@ def path(n: int) -> Hypergraph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     vs = _vnames(n)
-    edges = {f"e{i}": frozenset((vs[i - 1], vs[i])) for i in range(1, n)}
-    return Hypergraph._of(frozenset(vs), edges)
+    return Hypergraph._of(frozenset(vs), _enames(frozenset((vs[i - 1], vs[i])) for i in range(1, n)))
 
 
 def t_fold(H: Hypergraph, t: int) -> Hypergraph:
     """Replace every edge by t parallel copies (tH)."""
-    if t < 1:
-        raise ValueError(f"t_fold needs t >= 1, got {t}")
-    if t == 1:
-        return H
-    edges = {f"{e}.{k}": m for e, m in H.edges().items() for k in range(1, t + 1)}
-    return Hypergraph._of(H.vertices, edges)
+    edges = _fold(H._incidence, t)
+    return H if edges is H._incidence else Hypergraph._of(H.vertices, edges)
 
 
 def random_hypergraph(
@@ -361,39 +381,35 @@ def random_hypergraph(
         raise ValueError("random_hypergraph parameter out of range")
     rng = random.Random(seed)
     vs = _vnames(n)
-    edges: dict[str, frozenset[str]] = {}
+    drawn: list[frozenset[str]] = []  # the edges, named in order by _enames
     mult: dict[frozenset[str], int] = {}
-    eid = 0
     if n >= 2:
         for _ in range(4 * m):
-            if len(edges) >= m:
+            if len(drawn) >= m:
                 break
             q = rng.randint(2, min(max_arity, n))
             members = frozenset(rng.sample(vs, q))
             if q == 2 and mult.get(members, 0) >= max_mult:
                 continue
-            eid += 1
-            edges[f"e{eid}"] = members
+            drawn.append(members)
             if q == 2:
                 mult[members] = mult.get(members, 0) + 1
-    H = Hypergraph._of(frozenset(vs), edges)
+    H = Hypergraph._of(frozenset(vs), _enames(drawn))
     if connected and n >= 2:
         from .structure import components
 
         # join each component, by smallest vertex, to the union of the earlier ones
         first, *rest = components(H)
         joined = sorted(first)
-        edges = H.edges()  # a fresh dict: H keeps the one it was stored from
         for comp in rest:
             members = sorted(comp)
             a = rng.choice(joined)
             b = rng.choice(members)
-            eid += 1
-            edges[f"e{eid}"] = frozenset((a, b))
+            drawn.append(frozenset((a, b)))
             for v in members:
                 insort(joined, v)
         if rest:
-            H = Hypergraph._of(H.vertices, edges)
+            H = Hypergraph._of(H.vertices, _enames(drawn))
     return H
 
 

@@ -151,16 +151,18 @@ def emit_instance(
     _check_names(chain(H.vertices, H.edge_ids, *(lists or {}).values()))
     p = f.p if f is not None else 0
     out = [f"hg {p}"]
-    for v in sorted(H.vertices):
-        if f is not None:
-            out.append("v " + v + " " + " ".join(str(x) for x in f[v]))
-        else:
-            out.append("v " + v)
+    if f is not None:
+        words: dict[tuple[int, ...], str] = {}  # each distinct vector written once
+        for v in sorted(H.vertices):
+            vec = f[v]
+            if vec not in words:
+                words[vec] = " ".join(map(str, vec))
+            out.append(f"v {v} {words[vec]}")
+    else:
+        out += [f"v {v}" for v in sorted(H.vertices)]
     if lists is not None:
-        for v in sorted(lists):
-            out.append("l " + v + " " + " ".join(sorted(lists[v])))
-    for e in H.edge_ids:
-        out.append("e " + e + " " + " ".join(sorted(H.incidence(e))))
+        out += [f"l {v} {' '.join(sorted(lists[v]))}" for v in sorted(lists)]
+    out += [f"e {e} {' '.join(sorted(m))}" for e, m in H.edges().items()]
     return "\n".join(out) + "\n"
 
 

@@ -13,8 +13,10 @@ separating vertices, in time linear in sum |e|.
 
 Every connectivity query runs one search, `_dfs_forest`, rooted at the
 smallest vertex left undiscovered, so components come out sorted by
-smallest vertex.  `components` (the union of each component's blocks) and
-`separating_vertices` read its blocks through `_skeleton_forest`.
+smallest vertex.  `components` (the union of each component's blocks),
+`separating_vertices` and `_is_one_block` (the one-block test of
+`classify_block` and of make_hard's monoblocks) read its blocks through
+`_skeleton_forest`.
 `block_forest` gives, from one pass, every component's vertex set and
 blocks, each block with its entry and its edges as an edge multiset: each
 distinct incidence set mapped to the number of parallel edges on it, the
@@ -255,6 +257,13 @@ def block_trees(H: Hypergraph) -> list[BlockTree]:
         vsets = [parts[k][1] for k in rank]
         out.append(BlockTree(tuple(vsets), _in_two_or_more(vsets)))
     return out
+
+
+def _is_one_block(H: Hypergraph) -> bool:
+    """Whether a connected non-empty H has no separating vertex, from one
+    skeleton search; ValueError, as from `blocks`, for an empty or
+    disconnected H."""
+    return len(_one_tree(_skeleton_forest(H))) == 1
 
 
 def blocks(H: Hypergraph) -> BlockTree:

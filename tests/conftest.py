@@ -19,8 +19,8 @@ import pytest
 
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, _has_shape, block_function
-from degenpart.hypergraph import _check_domain
-from degenpart.instancefile import Instance, ParseError
+from degenpart.hypergraph import _check_domain, _check_lists
+from degenpart.instancefile import Instance, ParseError, _check_names
 from degenpart.partition import _Residual, _slack
 
 SWEEP_SEED = 20260823
@@ -671,3 +671,35 @@ def _reference_ints(line_no: int, words: list[str]) -> tuple[int, ...]:
         bad = next(w for w in words if not (w.isascii() and w.isdigit()))
         raise ParseError(line_no, f"expected a non-negative integer, got {bad!r}")
     return tuple(map(int, words))
+
+
+def reference_emit_instance(
+    H: dp.Hypergraph,
+    f: dp.VectorFunction | None = None,
+    lists: dict[str, set[str]] | None = None,
+) -> str:
+    """Reference: the instance text built line by line, each vector's text
+    written anew at every vertex."""
+    if f is not None and lists is not None:
+        raise ValueError("an instance carries either f-values or lists, not both")
+    if f is not None:
+        _check_domain(H, f)
+    if lists is not None:
+        _check_lists(H, lists)
+        empty = [v for v, lst in lists.items() if not lst]
+        if empty:
+            raise ValueError(f"empty list at {min(empty)!r}")
+    _check_names(itertools.chain(H.vertices, H.edge_ids, *(lists or {}).values()))
+    p = f.p if f is not None else 0
+    out = [f"hg {p}"]
+    for v in sorted(H.vertices):
+        if f is not None:
+            out.append("v " + v + " " + " ".join(str(x) for x in f[v]))
+        else:
+            out.append("v " + v)
+    if lists is not None:
+        for v in sorted(lists):
+            out.append("l " + v + " " + " ".join(sorted(lists[v])))
+    for e in H.edge_ids:
+        out.append("e " + e + " " + " ".join(sorted(H.incidence(e))))
+    return "\n".join(out) + "\n"

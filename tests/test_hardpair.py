@@ -8,12 +8,14 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import CTag, KTag, MTag, VectorFunction
 from degenpart.hypergraph import Hypergraph
+from degenpart.instancefile import emit_instance
 from conftest import (
     balanced_plan,
     count_calls,
     disconnected_instance,
     disjoint_union,
     reference_is_hard,
+    reference_emit_instance,
     reference_make_hard,
     reference_multiplicity,
 )
@@ -343,36 +345,58 @@ class TestCertificates:
                 assert dp.classify_block(H.induced(bset), VectorFunction(p, fB)) == tag
 
 
+# (plan, p, message): the message in full, or up to "..." where Python's
+# own text follows
+INVALID_PLANS = [
+    (("K", 1, (1, 1)), 3, "K plan parameters are invalid for p = 3"),  # len(counts) != p
+    (("K", 1, (2, 0)), 2, "K plan parameters are invalid for p = 2"),  # one non-zero count
+    (("K", 0, (1, 1)), 2, "t_fold needs t >= 1, got 0"),  # t = 0
+    (("C", 0, 5, 1, 2), 2, "t_fold needs t >= 1, got 0"),  # t = 0
+    (("C", 1, 6, 1, 2), 2, "C plan parameters are invalid for p = 2"),  # even n
+    (("C", 1, 3, 1, 2), 2, "C plan parameters are invalid for p = 2"),  # n = 3
+    (("C", 1, 5, 2, 2), 2, "C plan parameters are invalid for p = 2"),  # k == l
+    (("C", 1, 5, 1, 3), 2, "C plan parameters are invalid for p = 2"),  # coordinate out of range
+    (("M", dp.cycle(4), 3), 2, "M plan parameters are invalid for p = 2"),  # j > p
+    (("M", dp.path(3), 1), 2, "M plan block must be connected without separating vertices"),  # separating vertex
+    (("merge", ("C", 1, 5, 1, 2), ("K", 1, (2, 0))), 2,
+     "K plan parameters are invalid for p = 2"),  # invalid inside a merge
+    (("merge", ("C", 1, 5, 1, 2)), 2, "not enough values to unpack (expected 3, got 2)"),  # one part
+    (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2)), 2,
+     "too many values to unpack (expected 3..."),  # three parts
+    (("K", 1), 2, "not enough values to unpack (expected 3, got 2)"),  # K tuple without counts
+    (("X", 1), 2, "unknown plan kind 'X'"),
+    ((), 2, "plan node () is not a non-empty tuple"),
+    (("K", 1, 5), 2, "malformed K plan ('K', 1, 5): ..."),  # counts not a sequence
+    (("C", "1", 5, 1, 2), 2, "malformed C plan ('C', '1', 5, 1, 2): ..."),  # t not an integer
+    (("M", "abc", 1), 2, "malformed M plan ('M', 'abc', 1): ..."),  # M block not a hypergraph
+    (("M", Hypergraph(()), 1), 2, "blocks: empty hypergraph"),
+    (("M", Hypergraph("abcd", {"x": "ab", "y": "cd"}), 1), 2, "blocks: disconnected hypergraph (iterate components)"),
+    (("K", 1, (0, 0)), 2, "complete_uniform needs n >= 2 and 2 <= q <= n, got n=1, q=2"),  # K_1
+    (("C", 1, 1, 1, 2), 2, "cycle needs n >= 3, got 1"),
+    (("K", 2.0, (1, 1)), 2, "malformed K plan ('K', 2.0, (1, 1)): ..."),  # t not an integer
+    # a parameter equal to an earlier block's, but of another type, is checked anew
+    (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5.0, 1, 2)), 2, "malformed C plan ('C', 1, 5.0, 1, 2): ..."),
+    (("merge", ("M", dp.cycle(4), 1), ("M", dp.cycle(4), 1.0)), 2,
+     "malformed M plan ('M', Hypergraph(4 vertices, 4 edges), 1.0): ..."),
+]
+
+
 class TestMakeHardRejectsInvalidPlans:
     @pytest.mark.parametrize(
-        "plan, p",
-        [
-            (("K", 1, (1, 1)), 3),  # len(counts) != p
-            (("K", 1, (2, 0)), 2),  # one non-zero count
-            (("K", 0, (1, 1)), 2),  # t = 0
-            (("C", 0, 5, 1, 2), 2),  # t = 0
-            (("C", 1, 6, 1, 2), 2),  # even n
-            (("C", 1, 3, 1, 2), 2),  # n = 3
-            (("C", 1, 5, 2, 2), 2),  # k == l
-            (("C", 1, 5, 1, 3), 2),  # coordinate out of range
-            (("M", dp.cycle(4), 3), 2),  # j > p
-            (("M", dp.path(3), 1), 2),  # separating vertex
-            (("merge", ("C", 1, 5, 1, 2), ("K", 1, (2, 0))), 2),  # invalid inside a merge
-            (("merge", ("C", 1, 5, 1, 2)), 2),  # merge tuple with one part
-            (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2), ("C", 1, 5, 1, 2)), 2),  # three parts
-            (("K", 1), 2),  # K tuple without counts
-            (("X", 1), 2),  # unknown kind
-            ((), 2),  # empty plan
-            (("K", 1, 5), 2),  # counts not a sequence
-            (("C", "1", 5, 1, 2), 2),  # t not an integer
-            (("M", "abc", 1), 2),  # M block not a hypergraph
-            (("M", Hypergraph(()), 1), 2),  # empty M block
-            (("M", Hypergraph("abcd", {"x": "ab", "y": "cd"}), 1), 2),  # disconnected M block
-        ],
+        "plan, p, message", INVALID_PLANS, ids=[f"plan{i}-{p}" for i, (_, p, _) in enumerate(INVALID_PLANS)]
     )
-    def test_raises(self, plan, p):
-        with pytest.raises(ValueError):
+    def test_raises(self, plan, p, message):
+        with pytest.raises(ValueError) as info:
             dp.make_hard(plan, p)
+        if message.endswith("..."):
+            assert str(info.value).startswith(message[:-3])
+        else:
+            assert str(info.value) == message
+
+    def test_list_counts_build(self):
+        plan = ("merge", ("K", 2, [1, 0, 2]), ("K", 2, (1, 0, 2)))
+        H, f = dp.make_hard(plan, 3, seed=5)
+        assert (H, f) == reference_make_hard(("merge", ("K", 2, (1, 0, 2)), ("K", 2, (1, 0, 2))), 3, seed=5)
 
 
 def _chain(parts):
@@ -382,22 +406,50 @@ def _chain(parts):
     return plan
 
 
+def _with_t(base, t: int):
+    """A one-block plan with its block's edges t-fold."""
+    if base[0] == "M":
+        return ("M", dp.t_fold(base[1], t), base[2])
+    return (base[0], t, *base[2:])
+
+
+def _assert_matches_reference(plan, p: int, seed: int) -> None:
+    """make_hard's pair, and its text, are the reference's."""
+    H, f = dp.make_hard(plan, p, seed=seed)
+    R, g = reference_make_hard(plan, p, seed=seed)
+    assert (H, f) == (R, g)
+    assert emit_instance(H, f) == reference_emit_instance(R, g)
+
+
 class TestMakeHardOnePass:
     """make_hard gives what recursive gluing with `merge` gives, at any depth."""
 
     def test_random_plans_match_reference(self):
         for seed in range(200):
             p = 1 + seed % 5
-            plan = dp.random_hard_plan(seed, max_blocks=8, p=p)
-            assert dp.make_hard(plan, p, seed=seed) == reference_make_hard(plan, p, seed=seed)
+            _assert_matches_reference(dp.random_hard_plan(seed, max_blocks=8, p=p), p, seed=seed)
 
     @pytest.mark.parametrize("nblocks", [1, 2, 3, 17, 64])
     def test_balanced_plans_match_reference(self, nblocks):
         p = 2 + nblocks % 3
         rng = random.Random(nblocks)
         bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(nblocks)]
-        plan = balanced_plan(bases)
-        assert dp.make_hard(plan, p, seed=nblocks) == reference_make_hard(plan, p, seed=nblocks)
+        _assert_matches_reference(balanced_plan(bases), p, seed=nblocks)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_250_block_balanced_plans_match_reference(self, p):
+        # the benchmark's 250-block rung: one-block bases glued into a balanced plan
+        rng = random.Random(250 + p)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p) for _ in range(250)]
+        _assert_matches_reference(balanced_plan(bases), p, seed=p)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_t_fold_plans_match_reference(self, t):
+        for seed in range(40):
+            p = 2 + seed % 4
+            rng = random.Random(seed)
+            bases = [_with_t(dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=p), t) for _ in range(8)]
+            _assert_matches_reference(balanced_plan(bases), p, seed=seed)
 
     def test_3000_block_chain_at_default_recursion_limit(self):
         rng = random.Random(3000)

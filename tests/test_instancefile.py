@@ -11,7 +11,7 @@ import degenpart as dp
 from degenpart.cli import main
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from conftest import reference_edges_at, reference_parse_instance
+from conftest import reference_edges_at, reference_emit_instance, reference_parse_instance
 from degenpart.instancefile import (
     Instance,
     ParseError,
@@ -139,6 +139,22 @@ class TestEmitInstanceDomain:
     def test_empty_list(self):
         with pytest.raises(ValueError, match="^empty list at 'v2'$"):
             emit_instance(dp.cycle(3), lists={"v1": {"1"}, "v2": set(), "v3": {"1"}})
+
+
+class TestEmitsAsReference:
+    """emit_instance writes the reference's text, byte for byte."""
+
+    def test_sweep(self, sweep):
+        for rec in sweep.records:
+            assert emit_instance(rec.H, rec.f) == reference_emit_instance(rec.H, rec.f)
+            assert emit_instance(rec.H) == reference_emit_instance(rec.H)
+
+    def test_list_instances(self):
+        rng = random.Random(28)
+        for seed in range(200):
+            H = dp.random_hypergraph(rng.randint(1, 12), rng.randint(0, 20), max_arity=4, seed=seed)
+            lists = {v: {f"c{rng.randint(1, 12)}" for _ in range(rng.randint(1, 4))} for v in H.vertices}
+            assert emit_instance(H, lists=lists) == reference_emit_instance(H, lists=lists)
 
 
 def _renamed_c5(name: str):
