@@ -57,14 +57,14 @@ from .structure import RootedBlock, _is_one_block, block_forest, rooted_blocks
 # -- block type tags ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MTag:
     """Monoblock: f concentrated on coordinate j and equal to the degree."""
 
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KTag:
     """t-fold complete block tK_n with constant f = t * counts, sum(counts) = n - 1."""
 
@@ -72,7 +72,7 @@ class KTag:
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CTag:
     """t-fold odd cycle tC_n (n >= 5) with constant f = t * (e_k + e_l)."""
 
@@ -117,16 +117,19 @@ def block_function(
             for v in m:
                 degree[v] += t
         before, after = (0,) * (tag.j - 1), (0,) * (p - tag.j)
-        return {v: before + (d,) + after for v, d in degree.items()}
+        vecs = {d: before + (d,) + after for d in set(degree.values())}  # one vector per degree
+        return {v: vecs[d] for v, d in degree.items()}
     if isinstance(tag, KTag):
         counts = tag.counts
         if len(counts) != p or min(counts) < 0 or sum(map(bool, counts)) < 2 or sum(counts) != n - 1:
             return None
-        vec = tuple(tag.t * c for c in counts)
+        vec = tuple([tag.t * c for c in counts])
     elif isinstance(tag, CTag):
         if tag.k == tag.l or not (1 <= tag.k <= p and 1 <= tag.l <= p) or n < 5 or n % 2 == 0:
             return None
-        vec = tuple(tag.t if i in (tag.k, tag.l) else 0 for i in range(1, p + 1))
+        entries = [0] * p
+        entries[tag.k - 1] = entries[tag.l - 1] = tag.t
+        vec = tuple(entries)
     else:
         return None
     return dict.fromkeys(vertices, vec)
@@ -142,10 +145,12 @@ def _has_shape(vertices: Collection[str], edges: Mapping[frozenset[str], int], t
 
 
 def _recognize(
-    vertices: Collection[str], edges: Mapping[frozenset[str], int], pinned: Mapping[str, tuple[int, ...]], p: int
+    vertices: Collection[str], edges: Mapping[frozenset[str], int], residual: Mapping[str, tuple[int, ...]],
+    entry: str | None, p: int,
 ) -> tuple[BlockTypeTag, dict[str, tuple[int, ...]]] | None:
     """The tag of the block with these vertices and this edge multiset, and
-    its share, agreeing with pinned where given.
+    its share, agreeing with residual at every vertex but entry (the pinned
+    vertices; all of them when entry is None).
 
     Any pinned vertex's vector g allows the tags: M when g has at most one
     non-zero coordinate; otherwise K, with t read off the block's shape,
@@ -155,23 +160,33 @@ def _recognize(
     with two non-zero coordinates every pinned vector must equal g, and the
     share, equal to g by construction of the tag, then matches them all.
     """
-    g = next(iter(pinned.values()))
-    nz = [j for j, x in enumerate(g, 1) if x]
-    if len(nz) <= 1:
-        tag: BlockTypeTag = MTag(nz[0] if nz else 1)
+    for v in vertices:
+        if v != entry:
+            g = residual[v]
+            break
+    zeros = g.count(0)
+    if zeros >= p - 1:
+        tag: BlockTypeTag = MTag(g.index(max(g)) + 1)  # the non-zero coordinate, or 1
         share = block_function(vertices, edges, tag, p)
-        return (tag, share) if share is not None and pinned.items() <= share.items() else None
-    if any(vec != g for vec in pinned.values()):
-        return None
+        if share is None:
+            return None
+        for v in vertices:
+            if v != entry and share[v] != residual[v]:
+                return None
+        return tag, share
+    for v in vertices:
+        if v != entry and residual[v] != g:
+            return None
     shape = _complete_shape(vertices, edges)
-    if shape is not None and all(x % shape[0] == 0 for x in g):
-        tag = KTag(shape[0], tuple(x // shape[0] for x in g))
+    if shape is not None and not any([x % shape[0] for x in g]):
+        tag = KTag(shape[0], tuple([x // shape[0] for x in g]))
         share = block_function(vertices, edges, tag, p)
         if share is not None:
             return tag, share
-    t = g[nz[0] - 1]
-    if len(nz) == 2 and g[nz[1] - 1] == t and _cycle_shape(vertices, edges) == (t, len(vertices)):
-        tag = CTag(t, nz[0], nz[1])
+    t = max(g)
+    if zeros == p - 2 and g.count(t) == 2 and _cycle_shape(vertices, edges) == (t, len(vertices)):
+        k = g.index(t) + 1
+        tag = CTag(t, k, g.index(t, k) + 1)
         share = block_function(vertices, edges, tag, p)
         if share is not None:
             return tag, share
@@ -248,7 +263,7 @@ def _strip_blocks(
     for k, (c, bset, edges) in enumerate(parts):
         if k == last:
             c = None
-        found = _recognize(bset, edges, {v: residual[v] for v in bset if v != c}, p)
+        found = _recognize(bset, edges, residual, c, p)
         if found is None:
             return None
         tags[k], fns[k] = found
@@ -265,14 +280,13 @@ def _strip_blocks(
 def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertificate) -> bool:
     """Re-check every certificate invariant from scratch; False on any violation."""
     try:
+        _check_domain(H, f)
         parts, rank = rooted_blocks(H)
     except ValueError:
         return False
     if cert.blocks != tuple(parts[k][1] for k in rank):
         return False
     if len(cert.tags) != len(cert.blocks) or len(cert.block_functions) != len(cert.blocks):
-        return False
-    if f.vertices != H.vertices:
         return False
     total = dict.fromkeys(H.vertices, (0,) * f.p)
     for k, tag, fB in zip(rank, cert.tags, cert.block_functions):
@@ -291,6 +305,7 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
 #   ("K", t, counts)       tK_n with n = sum(counts) + 1, f constant t * counts
 #   ("C", t, n, k, l)      tC_n, n >= 5 odd, f constant t * (e_k + e_l)
 #   ("merge", left, right) glue two plans at a random vertex of each
+# t, k, l, j and the counts are ints; a bool or a float is a malformed plan.
 
 
 def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
@@ -366,7 +381,8 @@ def _base_block(
     node, p: int, named: dict[tuple, _Block], shares: dict[tuple, tuple[_Block, list[tuple[int, ...]]]]
 ) -> tuple[_Block, list[tuple[int, ...]]]:
     """The block of an M, K or C plan node and its share of f in its vertex
-    order; ValueError when the node is invalid for p.
+    order; ValueError when the node is invalid for p, and TypeError, which
+    make_hard reports as a malformed plan, when a parameter has the wrong type.
 
     named holds each distinct block named so far, and shares each distinct
     node's block and share, checked by `block_function`, so that one plan
@@ -376,15 +392,19 @@ def _base_block(
     if kind == "M":
         _, B, j = node
         params = (B, j)
+        ints = (j,)
     elif kind == "K":
         _, t, counts = node
         counts = tuple(counts)
-        params = (t, *counts)
+        params = ints = (t, *counts)
     elif kind == "C":
         _, t, n, k, l = node
         params = (t, n, k, l)
+        ints = (t, k, l)
     else:
         raise ValueError(f"unknown plan kind {kind!r}")
+    if any(type(x) is not int for x in ints):  # 1.0 or True would end up in f
+        raise TypeError("t, k, l, j and the counts must be ints, not bools or floats")
     # 1, 1.0 and True are equal keys, but as parameters they build different
     # blocks or none, so the keys carry the parameters' types
     key = (kind, *params, *map(type, params))

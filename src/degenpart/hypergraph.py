@@ -4,12 +4,15 @@ their domain rules, and the basic construction operators.
 Vertices and edges are named by opaque strings.  Parallel edges are stored
 as distinct edge records (shrinking can turn distinct hyperedges into
 parallel ordinary edges, so multiplicity counters would not survive the
-operators).  A hypergraph's one store step sorts its edges by id and
-indexes the edges at each vertex for `edges_at` and `degree`; the library's
-builders hand it valid incidence sets in any order, and only outside input
-passes the constructor's checks.  Operations return new values, or the
-value itself when they change nothing; a Hypergraph never mutates and is
-safe to share between threads.
+operators).  A hypergraph's one store step sorts its edges by id; the
+library's builders hand it valid incidence sets in any order, and only
+outside input passes the constructor's checks.  The index of the edges at
+each vertex, which `edges_at`, `degree`, `max_degree`, `min_degree` and
+`induced` read, is built on the first such call, once, by `_index`; a
+reader that needs only the incidence sets never pays for it.  Operations
+return new values, or the value itself when they change nothing.  A
+Hypergraph's value never changes: the index is an idempotent cache, so a
+Hypergraph stays safe to share between threads.
 
 A VectorFunction gives each vertex a length-p vector of non-negative
 integers.  `_check_domain` and `_check_lists`, the one copy of each domain
@@ -32,9 +35,11 @@ class Hypergraph:
     parallel edges are allowed and kept as separate records, stored in
     sorted-id order: `edge_ids`, `edges()` and `edges_at` all follow it.
 
-    One store step, `_store`, sets every field, sorts the edges and builds
-    the per-vertex edge index.  The constructor checks outside input and
-    then stores it; the library's own builders call `_of` with valid parts.
+    One store step, `_store`, sets every field and sorts the edges.  The
+    per-vertex edge index is built by `_index` on first use, once, and
+    kept: an idempotent cache, so a Hypergraph stays safe to share between
+    threads.  The constructor checks outside input and then stores it; the
+    library's own builders call `_of` with valid parts.
     """
 
     __slots__ = ("_vertices", "_incidence", "_at")
@@ -60,22 +65,32 @@ class Hypergraph:
 
     def _store(self, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
         """Set every field from parts taken as given, in any edge order, and
-        return self: the edges, and the edge ids at each vertex, go into
-        sorted-id order.
+        return self: the edges go into sorted-id order.  The edge index is
+        not built here but on first use, once (`_index`), so a reader that
+        needs only the incidence sets never pays for it.
 
         The caller guarantees what the constructor checks: each incidence
         set is a frozenset of two or more vertices of `vertices`.
         """
         if list(incidence) != (ids := sorted(incidence)):
             incidence = {e: incidence[e] for e in ids}
-        at: dict[str, list[str]] = {v: [] for v in vertices}
-        for e, m in incidence.items():
-            for v in m:
-                at[v].append(e)
         self._vertices = vertices
         self._incidence = incidence
-        self._at = {v: tuple(es) for v, es in at.items()}
+        self._at = None
         return self
+
+    def _index(self) -> dict[str, tuple[str, ...]]:
+        """Build, keep and return the edge ids at each vertex, in sorted-id
+        order: the one index builder.  Its readers call it while `_at` is
+        None (or empty, for no vertices, which costs nothing to rebuild).
+        Two threads that both find it missing build equal indexes, and
+        either one may stay, so no lock is needed."""
+        lists: dict[str, list[str]] = {v: [] for v in self._vertices}
+        for e, m in self._incidence.items():
+            for v in m:
+                lists[v].append(e)
+        at = self._at = {v: tuple(es) for v, es in lists.items()}
+        return at
 
     @classmethod
     def _of(cls, vertices: frozenset[str], incidence: dict[str, frozenset[str]]) -> "Hypergraph":
@@ -126,7 +141,7 @@ class Hypergraph:
 
     def edges_at(self, v: str) -> tuple[str, ...]:
         try:
-            return self._at[v]
+            return (self._at or self._index())[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v!r}") from None
 
@@ -135,11 +150,11 @@ class Hypergraph:
         return len(self.edges_at(v))
 
     def max_degree(self) -> int:
-        return max((len(es) for es in self._at.values()), default=0)
+        return max(map(len, (self._at or self._index()).values()), default=0)
 
     def min_degree(self) -> int:
         """Kept for the benchmark's workload generator, its one caller."""
-        return min((len(es) for es in self._at.values()), default=0)
+        return min(map(len, (self._at or self._index()).values()), default=0)
 
     # -- restriction operators ------------------------------------------
 
@@ -151,7 +166,8 @@ class Hypergraph:
             return self
         if not X <= self._vertices:
             raise ValueError(f"induced: {sorted(X - self._vertices)} are not vertices")
-        met = {e for v in X for e in self._at[v]}
+        at = self._at or self._index()
+        met = {e for v in X for e in at[v]}
         return Hypergraph._of(X, {e: m for e in met if (m := self._incidence[e]) <= X})
 
     def shrink(self, X: Iterable[str]) -> "Hypergraph":
@@ -425,34 +441,30 @@ def _complete_shape(vertices: Collection[str], edges: Mapping[frozenset[str], in
     tK_n has C(n, 2) distinct pairs as incidence sets, each carrying t edges.
     """
     n = len(vertices)
-    if n == 0 or len(edges) != n * (n - 1) // 2 or any(len(m) != 2 for m in edges):
+    # C(n, 2) incidence sets of two or more members are all pairs iff they
+    # have n(n - 1) members in all
+    if n == 0 or len(edges) != n * (n - 1) // 2 or sum(map(len, edges)) != n * (n - 1):
         return None
     ts = set(edges.values()) or {1}  # K_1 has no pairs
     return (ts.pop(), n) if len(ts) == 1 else None
 
 
 def _cycle_shape(vertices: Collection[str], edges: Mapping[frozenset[str], int]) -> tuple[int, int] | None:
-    """(t, n) if the vertices and the edge multiset form tC_n; None otherwise.
+    """(t, n) if the vertices and the edge multiset of one block form tC_n;
+    None otherwise.
 
-    tC_n has n distinct pairs as incidence sets, each carrying t edges, and
-    every vertex in two of them; walking from pair to pair closes after n steps.
+    tC_n has n distinct pairs as incidence sets, each carrying t edges.  n
+    incidence sets of two or more members are all pairs iff they have 2n
+    members in all.  A block of n >= 3 vertices is 2-connected, so each
+    vertex lies in two or more of its pairs, and n pairs put each in
+    exactly two: the block is a cycle.  So the test counts and walks
+    nothing; `t_fold_cycle_parameters` checks that H is one block.
     """
     n = len(vertices)
-    if n < 3 or len(edges) != n or any(len(m) != 2 for m in edges):
+    if n < 3 or len(edges) != n or sum(map(len, edges)) != 2 * n:
         return None
     ts = set(edges.values())
-    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in edges:
-        nbrs[u].append(w)
-        nbrs[w].append(u)
-    if len(ts) != 1 or any(len(ns) != 2 for ns in nbrs.values()):
-        return None
-    start = min(nbrs)
-    prev, v, steps = start, nbrs[start][0], 1
-    while v != start:
-        a, b = nbrs[v]
-        prev, v, steps = v, b if a == prev else a, steps + 1
-    return (ts.pop(), n) if steps == n else None
+    return (ts.pop(), n) if len(ts) == 1 else None
 
 
 def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
@@ -462,4 +474,10 @@ def t_fold_complete_parameters(H: Hypergraph) -> tuple[int, int] | None:
 
 def t_fold_cycle_parameters(H: Hypergraph) -> tuple[int, int] | None:
     """(t, n) if H = tC_n for some t >= 1, n >= 3; None otherwise."""
-    return _cycle_shape(H.vertices, Counter(H._incidence.values()))
+    from .structure import _skeleton_forest
+
+    shape = _cycle_shape(H.vertices, Counter(H._incidence.values()))
+    if shape is None:
+        return None
+    forest = _skeleton_forest(H)  # the shape test holds for one block only
+    return shape if len(forest) == 1 and len(forest[0]) == 1 else None

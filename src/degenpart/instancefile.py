@@ -23,8 +23,10 @@ sign, no '_').  The answer readers group its lines into header blocks.
 parse_instance reads them in one pass: each record is checked as it is
 read and goes straight into the vertex set and the edge and f-value dicts,
 which Hypergraph and VectorFunction then store without checking again (the
-hypergraph's store step sorts the edges by id and indexes them).  A header
-fault anywhere in a file is reported ahead of a record fault.  The parse_*
+hypergraph's store step sorts the edges by id).  An edge line whose
+members equal the previous edge line's shares that line's set and its
+checks, as make_hard's parallel edges share one set.  A header fault
+anywhere in a file is reported ahead of a record fault.  The parse_*
 readers raise ParseError naming the offending line, and every emitted
 answer reads back: the emit_* writers raise ValueError for a name that
 could not, one that is empty or holds whitespace or '#', and emit_instance
@@ -82,6 +84,8 @@ def _read_instance(text: str) -> Instance:
     vectors: dict[tuple[str, ...], tuple[int, ...]] = {}  # each distinct text read once
     lists: dict[str, set[str]] = {}
     edges: dict[str, frozenset[str]] = {}
+    last: list[str] = []  # the previous edge line's members, and their checked set
+    mset = frozenset()
     for line_no, tok in lines:
         kind = tok[0]
         if kind == "e":
@@ -91,12 +95,14 @@ def _read_instance(text: str) -> Instance:
             if name in edges:
                 raise ParseError(line_no, f"duplicate edge {name!r}")
             members = tok[2:]
-            mset = frozenset(members)
-            if len(mset) != len(members):
-                raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
-            if not mset <= vs:
-                unknown = [v for v in members if v not in vs]
-                raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
+            if members != last:  # a parallel edge line shares the set and its verdicts
+                mset = frozenset(members)
+                if len(mset) != len(members):
+                    raise ParseError(line_no, f"edge {name!r} repeats a vertex (loop)")
+                if not mset <= vs:
+                    unknown = [v for v in members if v not in vs]
+                    raise ParseError(line_no, f"edge {name!r} mentions unknown vertices {unknown}")
+                last = members
             edges[name] = mset
         elif kind == "v":
             if len(tok) < 2:
@@ -155,9 +161,10 @@ def emit_instance(
         words: dict[tuple[int, ...], str] = {}  # each distinct vector written once
         for v in sorted(H.vertices):
             vec = f[v]
-            if vec not in words:
-                words[vec] = " ".join(map(str, vec))
-            out.append(f"v {v} {words[vec]}")
+            text = words.get(vec)
+            if text is None:
+                text = words[vec] = " ".join(map(str, vec))
+            out.append(f"v {v} {text}")
     else:
         out += [f"v {v}" for v in sorted(H.vertices)]
     if lists is not None:
@@ -207,13 +214,13 @@ def emit_certificate(cert: HardPairCertificate) -> str:
     words: dict[tuple[int, ...], str] = {}  # each distinct vector written once
     for i, (bset, tag, fB) in enumerate(zip(cert.blocks, cert.tags, cert.block_functions), 1):
         vs = sorted(bset)
-        out.append(f"b {i} " + " ".join(vs))
-        out.append(f"t {i} " + _emit_tag(tag))
+        out.append(f"b {i} {' '.join(vs)}\nt {i} {_emit_tag(tag)}")
         for v in vs:
             vec = fB[v]
-            if vec not in words:
-                words[vec] = " ".join(map(str, vec))
-            out.append(f"f {i} {v} {words[vec]}")
+            text = words.get(vec)
+            if text is None:
+                text = words[vec] = " ".join(map(str, vec))
+            out.append(f"f {i} {v} {text}")
     return "\n".join(out) + "\n"
 
 

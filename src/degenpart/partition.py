@@ -12,13 +12,17 @@ unplaced members.  reduce_pair is one such placement on a fresh residual
 of the whole hypergraph.  A partition of the reduction extends by z in
 class j whenever f_j(z) > 0, and every vertex v != z keeps sum f >= d.
 
-solve checks the domain and the degree hypothesis once.  Components with
+solve checks the domain and the degree hypothesis once.  A pair with as
+much f as degree in all goes first to hardpair.hard_components, whose
+strips prove sum f = d wherever they succeed: when every component is
+hard, that is the answer, and no degree is read.  Components with
 slack go straight to the finisher and need no block structure: one
 residual of the whole hypergraph is finished from each slack vertex, in
 name order, that is still unplaced, so each such component from its
 smallest slack vertex.  hardpair.hard_components then decides every
-component of what is left, from one block pass: hard, with a
-certificate, or handed to the tight steps.
+component of what is left, from one block pass (a pair without slack
+was decided first): hard, with a certificate, or handed to the tight
+steps.
 
 Slack finisher.  A vertex s with sum f > d keeps that slack through
 every placement.  The vertices are placed farthest from s first
@@ -83,6 +87,13 @@ def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hyper
 def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     """Partition H into strictly f_i-degenerate classes, or certify failure."""
     _check_domain(H, f)
+    # a strip that succeeds proves sum f = d on its component, so a pair
+    # with as much f as degree in all is stripped before any degree is read
+    decided = None
+    if sum(sum(vec) for _, vec in f.items()) == sum(map(len, H._incidence.values())):
+        decided = hard_components(H, f)
+        if decided and all(decided.values()):
+            return SolveResult(None, decided)
     slack = _slack(H, f)
     assignment: dict[str, int] = {}
     certs: dict[frozenset[str], HardPairCertificate] = {}
@@ -95,7 +106,10 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
         tight = r.alive
     if tight:
         T = H.induced(tight)
-        for comp, cert in hard_components(T, f.restrict(tight)).items():
+        if slack:
+            decided = hard_components(T, f.restrict(tight))
+        # without slack, sum f = d everywhere, so the pair was decided above
+        for comp, cert in decided.items():
             if cert is None:
                 _Residual(T.induced(comp), f, comp).tight_steps(assignment)
             else:

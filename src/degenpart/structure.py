@@ -55,7 +55,7 @@ def _skeleton_forest(H: Hypergraph) -> list[list[tuple[str, frozenset[str]]]]:
     """`_dfs_forest`'s blocks of H's skeleton, built from each distinct
     incidence set once: the one search behind `components` and
     `separating_vertices`."""
-    forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H.edges().values())))
+    forest, _ = _dfs_forest(_skeleton_adjacency(H.vertices, set(H._incidence.values())))
     return forest
 
 
@@ -128,26 +128,28 @@ def _biconnected_vertex_sets(
     # stack holds (vertex, parent, iterator over neighbors, index in pending)
     stack = [(root, None, iter(adj[root]), 0)]
     while stack:
-        v, parent, it, _ = stack[-1]
+        v, parent, it, at = stack[-1]
         for u in it:
-            if u not in disc:
+            d = disc.get(u)
+            if d is None:
                 timer += 1
                 disc[u] = low[u] = timer
                 stack.append((u, v, iter(adj[u]), len(pending)))
                 pending.append(u)
                 break
-            if u != parent and disc[u] < low[v]:
-                low[v] = disc[u]
+            if u != parent and d < low[v]:
+                low[v] = d
         else:
-            _, _, _, at = stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    # v's subtree hangs off p: with p it forms a component
-                    comps.append((p, frozenset(pending[at:]) | {p}))
+            stack.pop()
+            if parent is not None:
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    # v's subtree hangs off its parent: with it, a component
+                    block = pending[at:]
                     del pending[at:]
+                    block.append(parent)
+                    comps.append((parent, frozenset(block)))
     return comps
 
 
@@ -217,29 +219,23 @@ def block_forest(H: Hypergraph) -> list[tuple[frozenset[str], list[RootedBlock],
     An edge lies in the block of its last discovered member w: the last
     completed block holding w, where w is not the entry.
     """
-    multiset = Counter(H.edges().values())
+    multiset = Counter(H._incidence.values())
     adj = _skeleton_adjacency(H.vertices, multiset)
     forest, disc = _dfs_forest(adj)
     ranks = [_block_order(found, adj) for found in forest]
     del adj  # the skeleton is freed before the edges are assigned
-    flat = [part for found in forest for part in found]
-    owner = {v: k for k, (_, b) in enumerate(flat) for v in b}
-    edges: list[dict[frozenset[str], int]] = [{} for _ in flat]
+    parts = [[(c, b, {}) for c, b in found] for found in forest]
+    # each vertex's last completed block: the one it is not the entry of
+    owner = {v: es for found in parts for _, b, es in found for v in b}
     for m, t in multiset.items():
         if len(m) == 2:
             u, w = m
-            last = u if disc[u] > disc[w] else w
+            owner[u if disc[u] > disc[w] else w][m] = t
         else:
-            last = max(m, key=disc.__getitem__)
-        edges[owner[last]][m] = t
-    out = []
-    start = 0
-    for found, rank in zip(forest, ranks):
-        stop = start + len(found)
-        parts = [(c, b, es) for (c, b), es in zip(found, edges[start:stop])]
-        out.append((frozenset().union(*(b for _, b in found)), parts, rank))
-        start = stop
-    return out
+            owner[max(m, key=disc.__getitem__)][m] = t
+    # one component is the whole vertex set
+    comps = [H.vertices] if len(forest) == 1 else [frozenset().union(*(b for _, b in found)) for found in forest]
+    return list(zip(comps, parts, ranks))
 
 
 def rooted_blocks(H: Hypergraph) -> tuple[list[RootedBlock], list[int]]:

@@ -378,6 +378,10 @@ INVALID_PLANS = [
     (("merge", ("C", 1, 5, 1, 2), ("C", 1, 5.0, 1, 2)), 2, "malformed C plan ('C', 1, 5.0, 1, 2): ..."),
     (("merge", ("M", dp.cycle(4), 1), ("M", dp.cycle(4), 1.0)), 2,
      "malformed M plan ('M', Hypergraph(4 vertices, 4 edges), 1.0): ..."),
+    # t of 1.0 or True would give f-values that emit_instance writes and parse_instance refuses
+    (("C", 1.0, 5, 1, 2), 2, "malformed C plan ('C', 1.0, 5, 1, 2): t, k, l, j and the counts must be ints, ..."),
+    (("C", True, 5, 1, 2), 2, "malformed C plan ('C', True, 5, 1, 2): t, k, l, j and the counts must be ints, ..."),
+    (("K", 1.0, (1, 1)), 2, "malformed K plan ('K', 1.0, (1, 1)): t, k, l, j and the counts must be ints, ..."),
 ]
 
 

@@ -6,9 +6,11 @@ import pytest
 
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
-from degenpart.hypergraph import Hypergraph
+from degenpart.hypergraph import Hypergraph, _complete_shape, _cycle_shape
 from degenpart.instancefile import emit_instance
-from conftest import disconnected_instance, reference_edges_at, reference_multiplicity, reference_random_hypergraph
+from degenpart.structure import block_forest
+from conftest import (count_calls, disconnected_instance, reference_edges_at, reference_multiplicity,
+                      reference_random_hypergraph)
 
 
 def triple_edge():
@@ -64,6 +66,24 @@ class TestDegrees:
         for query in (H.edges_at, H.degree):
             with pytest.raises(ValueError, match="unknown vertex 'v5'"):
                 query("v5")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_query_builds_the_index_once(self, monkeypatch, seed):
+        # the store step leaves the index to the first reader; every later
+        # reader, induced included, reads the same index
+        H, _ = dp.make_hard(dp.random_hard_plan(seed, max_blocks=12, p=3), 3, seed=seed)
+        for G in (H, dp.t_fold(H, 2), Hypergraph(H.vertices, H.edges())):
+            counts: dict[str, int] = {}
+            count_calls(monkeypatch, counts, Hypergraph, "_index")
+            vs = sorted(G.vertices)
+            assert G.edges_at(vs[0]) == reference_edges_at(G, vs[0])
+            assert counts["_index"] == 1
+            assert {v: G.edges_at(v) for v in vs} == {v: reference_edges_at(G, v) for v in vs}
+            assert [G.degree(v) for v in vs] == [len(reference_edges_at(G, v)) for v in vs]
+            assert G.max_degree() == max(map(G.degree, vs)) and G.min_degree() == min(map(G.degree, vs))
+            G.induced(vs[1:])
+            assert counts["_index"] == 1
+            monkeypatch.undo()
 
 
 class TestOperators:
@@ -339,6 +359,13 @@ class TestShapeDetection:
         assert dp.t_fold_cycle_parameters(dp.complete_uniform(4, 2)) is None
         assert dp.t_fold_cycle_parameters(dp.cycle(3)) == (1, 3)
 
+    def test_cycle_parameters_need_one_connected_cycle(self):
+        # every vertex in two pairs is a cycle only when the pairs connect the vertices
+        two_triangles = Hypergraph("abcxyz", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "xy", "e5": "yz", "e6": "zx"})
+        pendant = Hypergraph("abcd", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "cd"})
+        for H in (two_triangles, dp.t_fold(two_triangles, 2), pendant):
+            assert dp.t_fold_cycle_parameters(H) is None
+
 
 def definitional_complete_parameters(H):
     """Reference: H is a graph whose vertex pairs all have one multiplicity t >= 1."""
@@ -445,3 +472,19 @@ class TestShapeDetectionMatchesDefinition:
             found["cycle"] += cycle is not None
         # the corpus reaches both shapes, not only their near misses
         assert min(found.values()) >= 200
+
+    def test_block_shape_tests_match_definition(self):
+        # the private shape tests read one block: each block that
+        # block_forest gives, rebuilt as a hypergraph, against the references
+        found = 0
+        for seed in range(600):
+            H = _shape_corpus_instance(seed)
+            if seed % 3 == 0:
+                H, _ = dp.make_hard(dp.random_hard_plan(seed, max_blocks=5, p=3), 3, seed=seed)
+            for _, parts, _ in block_forest(H):
+                for _, b, es in parts:
+                    B = Hypergraph(b, {f"x{i}.{k}": m for i, (m, t) in enumerate(es.items()) for k in range(t)})
+                    assert _complete_shape(b, es) == definitional_complete_parameters(B)
+                    assert _cycle_shape(b, es) == definitional_cycle_parameters(B)
+                    found += _cycle_shape(b, es) is not None
+        assert found >= 100

@@ -375,6 +375,19 @@ class TestReadsAsReference:
                 _assert_reads_as_reference(text)
                 assert parse_instance(text).H == G
 
+    def test_parallel_edge_lines_share_one_set(self):
+        # an edge line with the previous edge line's members reuses its set;
+        # the same members in another order, or after another edge, do not
+        for seed in range(10):
+            H, f = dp.make_hard(dp.random_hard_plan(seed, max_blocks=6, p=3), 3, seed=seed)
+            G = parse_instance(emit_instance(dp.t_fold(H, 2), f)).H
+            ids = G.edge_ids
+            for a, b in zip(ids, ids[1:]):
+                assert (G.incidence(a) is G.incidence(b)) == (G.incidence(a) == G.incidence(b))
+        G = parse_instance("hg 0\nv a\nv b\nv c\ne e1 a b\ne e2 a b\ne e3 b a\ne e4 a c\ne e5 a b\n").H
+        e1, e2, e3, e4, e5 = map(G.incidence, G.edge_ids)
+        assert e1 is e2 and e2 is not e3 and e1 == e3 == e5 and e5 is not e1
+
     def test_builds_no_validated_copy(self, monkeypatch):
         # the reader stores what it has checked; it never calls the
         # validating constructors
@@ -393,6 +406,7 @@ _SMALL_FILES = [
     "hg 1\nv a 1\nv b 10\ne e1 a b\ne e10 b a\n",
     "# note\nhg 0\nv a\nv b\nv c\nl a 1 2\nl b 2\nl c 1 3\ne x a b  # ab\n\ne y b c\n",
     "hg 0\nv a\nv b\ne e1 a b\n",
+    "hg 1\nv a 2\nv b 3\ne e1 a b\ne e2 a b\ne e3 b a\n",  # parallel edge lines
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
-from degenpart.instancefile import emit_certificates, emit_partition
+from degenpart.instancefile import emit_certificates, emit_instance, emit_partition, parse_instance
 from conftest import (
     balanced_plan,
     count_calls,
@@ -84,6 +84,28 @@ class TestSolve:
         H = Hypergraph("a")
         res = dp.solve(H, const(H, (0, 0)))
         assert not res.partitionable
+
+    def test_empty_pair_is_partitionable(self):
+        res = dp.solve(Hypergraph(()), VectorFunction(2, {}))
+        assert res.partition == {} and res.certificates is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_balanced_deficit_names_the_vertex(self, seed):
+        # f moved between two vertices keeps sum f = sum d in all, so solve
+        # strips first; beside a hard component the error is the same
+        H1, f1 = dp.make_hard(dp.random_hard_plan(seed, max_blocks=8, p=3), 3, seed=seed)
+        H2, f2 = dp.make_hard(dp.random_hard_plan(seed + 50, max_blocks=4, p=3), 3, seed=seed)
+        ren = {v: "x" + v for v in H2.vertices}
+        edges = H1.edges()
+        edges.update({"x" + e: {ren[v] for v in m} for e, m in H2.edges().items()})
+        H = Hypergraph(H1.vertices | set(ren.values()), edges)
+        values = {**dict(f1.items()), **{ren[v]: vec for v, vec in f2.items()}}
+        a, b = sorted(H1.vertices)[:2]
+        j = next(i for i, x in enumerate(values[a]) if x)
+        values[a] = values[a][:j] + (values[a][j] - 1,) + values[a][j + 1:]
+        values[b] = values[b][:j] + (values[b][j] + 1,) + values[b][j + 1:]
+        with pytest.raises(ValueError, match=f"degree hypothesis violated at {a!r}"):
+            dp.solve(H, VectorFunction(3, values))
 
 
 class TestReduction:
@@ -213,6 +235,20 @@ class TestConstructionCounts:
         res = dp.solve(H, f)
         assert (nblocks, counts["_store"]) == (16, 0)
         assert list(res.certificates) == [H.vertices]
+
+    def test_reading_and_deciding_a_hard_pair_builds_no_edge_index(self, monkeypatch):
+        # solve strips a pair with as much f as degree before it reads a
+        # degree, and the strip reads each block's edge multiset, so no
+        # vertex's edges are ever listed
+        rng = random.Random(60)
+        bases = [dp.random_hard_plan(rng.randrange(2**32), max_blocks=1, p=3) for _ in range(60)]
+        text = emit_instance(*dp.make_hard(balanced_plan(bases), 3, seed=60))
+        counts: dict[str, int] = {}
+        count_calls(monkeypatch, counts, Hypergraph, "_index")
+        inst = parse_instance(text)
+        res = dp.solve(inst.H, inst.f)
+        assert len(res.certificates[inst.H.vertices].blocks) == 60
+        assert counts["_index"] == 0
 
     def test_verify_partition_peels_once(self, monkeypatch):
         # five non-empty classes: one peel of one hypergraph of the inside edges
