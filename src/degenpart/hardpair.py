@@ -167,9 +167,7 @@ def _recognize(
     zeros = g.count(0)
     if zeros >= p - 1:
         tag: BlockTypeTag = MTag(g.index(max(g)) + 1)  # the non-zero coordinate, or 1
-        share = block_function(vertices, edges, tag, p)
-        if share is None:
-            return None
+        share = block_function(vertices, edges, tag, p)  # not None: j lies in 1..p
         for v in vertices:
             if v != entry and share[v] != residual[v]:
                 return None
@@ -305,7 +303,7 @@ def verify_certificate(H: Hypergraph, f: VectorFunction, cert: HardPairCertifica
 #   ("K", t, counts)       tK_n with n = sum(counts) + 1, f constant t * counts
 #   ("C", t, n, k, l)      tC_n, n >= 5 odd, f constant t * (e_k + e_l)
 #   ("merge", left, right) glue two plans at a random vertex of each
-# t, k, l, j and the counts are ints; a bool or a float is a malformed plan.
+# t, n, k, l, j and the counts are ints; a bool or a float is a malformed plan.
 
 
 def make_hard(plan, p: int, seed: int = 0) -> tuple[Hypergraph, VectorFunction]:
@@ -399,15 +397,12 @@ def _base_block(
         params = ints = (t, *counts)
     elif kind == "C":
         _, t, n, k, l = node
-        params = (t, n, k, l)
-        ints = (t, k, l)
+        params = ints = (t, n, k, l)
     else:
         raise ValueError(f"unknown plan kind {kind!r}")
-    if any(type(x) is not int for x in ints):  # 1.0 or True would end up in f
-        raise TypeError("t, k, l, j and the counts must be ints, not bools or floats")
-    # 1, 1.0 and True are equal keys, but as parameters they build different
-    # blocks or none, so the keys carry the parameters' types
-    key = (kind, *params, *map(type, params))
+    if any(type(x) is not int for x in ints):  # 1.0 or True would end up in f or fail elsewhere
+        raise TypeError("t, n, k, l, j and the counts must be ints, not bools or floats")
+    key = (kind, *params)
     found = shares.get(key)
     if found is None:
         if kind == "M":
@@ -416,7 +411,6 @@ def _base_block(
             shape, tag = ("K", sum(counts) + 1, t), KTag(t, counts)
         else:
             shape, tag = ("C", n, t), CTag(t, k, l)
-        shape += tuple(map(type, shape[1:]))
         block = named.get(shape)
         if block is None:
             block = named[shape] = _named_block(shape)
@@ -429,16 +423,15 @@ def _base_block(
 
 
 def _named_block(shape: tuple) -> _Block:
-    """The block of an ("M", B, ...), ("K", n, t, ...) or ("C", n, t, ...)
-    shape: B, which must be one block, or tK_n or tC_n under the stock
-    constructions' names."""
+    """The block of an ("M", B), ("K", n, t) or ("C", n, t) shape: B, which
+    must be one block, or tK_n or tC_n under the stock constructions' names."""
     if shape[0] == "M":
         B = shape[1]
         if not _is_one_block(B):
             raise ValueError("M plan block must be connected without separating vertices")
         vs, edges = B.vertices, B.edges()
     else:
-        kind, n, t = shape[:3]
+        kind, n, t = shape
         vs, edges = _complete(n, 2) if kind == "K" else _cycle(n)
         edges = _fold(edges, t)
     vs = sorted(vs)

@@ -15,7 +15,7 @@ Hypergraph's value never changes: the index is an idempotent cache, so a
 Hypergraph stays safe to share between threads.
 
 A VectorFunction gives each vertex a length-p vector of non-negative
-integers.  `_check_domain` and `_check_lists`, the one copy of each domain
+ints.  `_check_domain` and `_check_lists`, the one copy of each domain
 rule, require f or a list assignment to be given on exactly V(H).
 """
 
@@ -273,10 +273,12 @@ class VectorFunction:
 
 
 def _vector(p: int, v: str, vec: Sequence[int]) -> tuple[int, ...]:
-    """vec as a tuple, checked to be p >= 1 non-negative entries."""
+    """vec as a tuple, checked to be p >= 1 non-negative ints."""
     vec = tuple(vec)
     if len(vec) != p:
         raise ValueError(f"vector at {v!r} has length {len(vec)}, expected {p}")
+    if any(type(x) is not int for x in vec):
+        raise ValueError(f"vector at {v!r} has an entry that is not an int: {vec!r}")
     if min(vec) < 0:  # p >= 1
         raise ValueError(f"vector at {v!r} has a negative entry")
     return vec

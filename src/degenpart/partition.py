@@ -79,7 +79,7 @@ def reduce_pair(H: Hypergraph, f: VectorFunction, z: str, j: int) -> tuple[Hyper
     _check_domain(H, f)
     if not 1 <= j <= f.p:
         raise ValueError(f"class {j} out of range 1..{f.p}")
-    r = _Residual(H, f, H.vertices)
+    r = _Residual(H, f)
     r.place(z, j, {})
     return H.shrink_away(z), VectorFunction(f.p, {v: r.res[v] for v in r.alive})
 
@@ -99,7 +99,7 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
     certs: dict[frozenset[str], HardPairCertificate] = {}
     tight = H.vertices
     if slack:
-        r = _Residual(H, f, H.vertices)
+        r = _Residual(H, f)
         for s in sorted(slack):
             if s in r.alive:
                 r.finish(s, assignment)
@@ -111,7 +111,7 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
         # without slack, sum f = d everywhere, so the pair was decided above
         for comp, cert in decided.items():
             if cert is None:
-                _Residual(T.induced(comp), f, comp).tight_steps(assignment)
+                _Residual(T.induced(comp), f).tight_steps(assignment)
             else:
                 certs[comp] = cert
     if certs:
@@ -122,8 +122,8 @@ def solve(H: Hypergraph, f: VectorFunction) -> SolveResult:
 
 
 class _Residual:
-    """What is left of comp, one or more components of H, while its
-    vertices are placed.
+    """What is left of H while its vertices are placed; f may hold more
+    vertices than H.
 
     alive holds the unplaced vertices, live[e] the number of unplaced
     members of edge e, and res[v] the residual f at v.  A vertex gains
@@ -132,12 +132,12 @@ class _Residual:
 
     __slots__ = ("H", "p", "alive", "live", "res")
 
-    def __init__(self, H: Hypergraph, f: VectorFunction, comp: frozenset[str]):
+    def __init__(self, H: Hypergraph, f: VectorFunction):
         self.H = H
         self.p = f.p
-        self.alive = set(comp)
-        self.live = {e: len(H.incidence(e)) for v in comp for e in H.edges_at(v)}
-        self.res = {v: list(f[v]) for v in comp}
+        self.alive = set(H.vertices)
+        self.live = {e: len(m) for e, m in H._incidence.items()}
+        self.res = {v: list(f[v]) for v in H.vertices}
 
     def _partners(self, z: str):
         """The other unplaced end of each edge at z with exactly two unplaced members."""

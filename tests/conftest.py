@@ -253,7 +253,7 @@ def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
     certs = {}
     for comp in dp.components(H):
         if not comp.isdisjoint(slack):
-            _Residual(H, f, comp).finish(min(comp & slack), assignment)
+            _Residual(H.induced(comp), f).finish(min(comp & slack), assignment)
             continue
         Hc = H.induced(comp)
         fc = f.restrict(comp)
@@ -261,7 +261,7 @@ def reference_solve(H: dp.Hypergraph, f: dp.VectorFunction) -> dp.SolveResult:
         if cert is not None:
             certs[comp] = cert
             continue
-        _Residual(Hc, fc, comp).tight_steps(assignment)
+        _Residual(Hc, fc).tight_steps(assignment)
     if certs:
         return dp.SolveResult(None, certs)
     assert dp.verify_partition(H, f, assignment)

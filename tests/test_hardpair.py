@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,16 @@ class TestVectorFunction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             VectorFunction(1, {"a": (-1,)})
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, True])
+    def test_entries_must_be_ints(self, x):
+        # emit_instance would write 1.5, 2.0 or True, which parse_instance refuses
+        message = f"vector at 'v3' has an entry that is not an int: {(x, 0)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VectorFunction(2, {"v1": (1, 1), "v2": (1, 1), "v3": (x, 0)})
+        f = VectorFunction(2, {"v3": (1, 1)})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            f.with_value("v3", [x, 0])
 
     def test_from_degrees(self):
         H = dp.cycle(4)
@@ -379,9 +390,12 @@ INVALID_PLANS = [
     (("merge", ("M", dp.cycle(4), 1), ("M", dp.cycle(4), 1.0)), 2,
      "malformed M plan ('M', Hypergraph(4 vertices, 4 edges), 1.0): ..."),
     # t of 1.0 or True would give f-values that emit_instance writes and parse_instance refuses
-    (("C", 1.0, 5, 1, 2), 2, "malformed C plan ('C', 1.0, 5, 1, 2): t, k, l, j and the counts must be ints, ..."),
-    (("C", True, 5, 1, 2), 2, "malformed C plan ('C', True, 5, 1, 2): t, k, l, j and the counts must be ints, ..."),
-    (("K", 1.0, (1, 1)), 2, "malformed K plan ('K', 1.0, (1, 1)): t, k, l, j and the counts must be ints, ..."),
+    (("C", 1.0, 5, 1, 2), 2, "malformed C plan ('C', 1.0, 5, 1, 2): t, n, k, l, j and the counts must be ints, ..."),
+    (("C", True, 5, 1, 2), 2, "malformed C plan ('C', True, 5, 1, 2): t, n, k, l, j and the counts must be ints, ..."),
+    (("K", 1.0, (1, 1)), 2, "malformed K plan ('K', 1.0, (1, 1)): t, n, k, l, j and the counts must be ints, ..."),
+    # n is under the same rule, not left to the cycle constructor
+    (("C", 1, True, 1, 2), 2, "malformed C plan ('C', 1, True, 1, 2): t, n, k, l, j and the counts must be ints, ..."),
+    (("C", 1, 5.0, 1, 2), 2, "malformed C plan ('C', 1, 5.0, 1, 2): t, n, k, l, j and the counts must be ints, ..."),
 ]
 
 
@@ -750,3 +764,54 @@ class TestMetamorphicPastTheOracle:
                     assert certt.block_functions == tuple(
                         {v: tuple(t * x for x in share) for v, share in fn.items()} for fn in cert.block_functions
                     )
+
+
+def _hard_pair_of_50_to_500(rng, p, prefix):
+    """A make_hard pair of 50 to 500 vertices from rng, every name prefixed."""
+    while True:
+        plan = dp.random_hard_plan(rng.randrange(2**32), max_blocks=150, p=p)
+        H, f = dp.make_hard(plan, p, seed=rng.randrange(2**32))
+        if 50 <= H.order <= 500:
+            return disjoint_union([(prefix, H, f)])
+
+
+def _glued(rng, left, right):
+    """dp.merge of two pairs with disjoint names at a vertex drawn from each,
+    with f added at the glued vertex."""
+    (H1, f1), (H2, f2) = left, right
+    v1, v2 = rng.choice(sorted(H1.vertices)), rng.choice(sorted(H2.vertices))
+    values = {**dict(f1.items()), **dict(f2.items())}
+    values["glued"] = tuple(a + b for a, b in zip(values.pop(v1), values.pop(v2)))
+    return dp.merge(H1, v1, H2, v2, "glued"), VectorFunction(f1.p, values)
+
+
+class TestMergeClosurePastTheOracle:
+    """The paper's merging of a vertex on make_hard pairs of 50 to 500
+    vertices, with no oracle: a merge of two hard pairs is hard, and a merge
+    with a pair that has one coordinate raised keeps that slack, so it is
+    partitionable."""
+
+    SEEDS = range(20)
+
+    def test_merge_of_two_hard_pairs_is_one_certified_hard_pair(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            p = rng.choice((2, 3))
+            H, f = _glued(rng, _hard_pair_of_50_to_500(rng, p, "L."), _hard_pair_of_50_to_500(rng, p, "R."))
+            res = dp.solve(H, f)
+            assert not res.partitionable
+            (comp, cert), = res.certificates.items()
+            assert comp == H.vertices
+            assert dp.verify_certificate(H, f, cert)
+
+    def test_merge_with_a_raised_pair_is_partitionable(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            p = rng.choice((2, 3))
+            H2, f2 = _hard_pair_of_50_to_500(rng, p, "R.")
+            v, j = rng.choice(sorted(H2.vertices)), rng.randrange(p)
+            raised = f2.with_value(v, tuple(x + (i == j) for i, x in enumerate(f2[v])))
+            H, f = _glued(rng, _hard_pair_of_50_to_500(rng, p, "L."), (H2, raised))
+            res = dp.solve(H, f)
+            assert res.partitionable
+            assert dp.verify_partition(H, f, res.partition)
