@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .degeneracy import col, is_strictly_degenerate
+from .degeneracy import is_strictly_degenerate
 from .hardpair import HardPairCertificate
 from .hypergraph import (Hypergraph, VectorFunction, _check_lists, _complete_shape, _cycle_shape,
                          t_fold_complete_parameters, t_fold_cycle_parameters)
@@ -154,46 +154,41 @@ def _least_partitioned(H: Hypergraph, level: int, start: int) -> int:
 
 
 def chromatic_number(H: Hypergraph) -> int:
-    """Least number of colors with no edge monochromatic (0 for empty H)."""
-    if H.is_empty:
-        return 0
-    for k in itertools.count(1):
-        if _colorable_with(H, {v: set(range(1, k + 1)) for v in H.vertices}):
-            return k
-    raise AssertionError("unreachable")
+    """Least number of colors with no edge monochromatic (0 for empty H).
+
+    Any coloring can be renamed in order of first use along the sorted
+    vertices, so with k colors the i-th vertex is offered only 1..min(k, i)."""
+    return next(k for k in itertools.count() if _colorable_with(
+        H, {v: set(range(1, min(k, i) + 1)) for i, v in enumerate(sorted(H.vertices), 1)}))
 
 
 def _colorable_with(H: Hypergraph, L: Mapping[str, set]) -> bool:
-    """Backtracking check for a proper coloring choosing from the lists."""
+    """Backtracking check for a proper coloring choosing from the lists, in
+    order of list size, then name: each vertex takes the next color of its
+    open iterator, or steps back to the vertex before once that is spent."""
     vs = sorted(H.vertices, key=lambda v: (len(L[v]), v))
-    colors = [sorted(L[v], key=str) for v in vs]
     # the distinct incidence sets at each vertex: parallel edges add nothing
-    at = {v: tuple(dict.fromkeys(map(H.incidence, H.edges_at(v)))) for v in vs}
-    coloring: dict[str, Color] = {}
-
-    def ok(v: str, c: Color) -> bool:
-        """No edge at v has every other member colored c."""
-        for m in at[v]:
-            for u in m:
-                if u != v and coloring.get(u) != c:
-                    break
-            else:
-                return False
-        return True
-
-    def go(i: int) -> bool:
-        if i == len(vs):
-            return True
+    at = {v: set(map(H.incidence, H.edges_at(v))) for v in vs}
+    classes: dict[Color, set[str]] = {c: set() for v in vs for c in L[v]}  # the vertices colored c
+    chosen: list[Color] = []  # the colors of vs[0], ..., vs[i - 1], with i = len(chosen)
+    tries: list[Iterator[Color]] = []  # the open color iterators of vs[0], ..., vs[i]
+    while len(chosen) < len(vs):
+        i = len(chosen)
         v = vs[i]
-        for c in colors[i]:
-            if ok(v, c):
-                coloring[v] = c
-                if go(i + 1):
-                    return True
-                del coloring[v]
-        return False
-
-    return go(0)
+        if len(tries) == i:
+            tries.append(iter(sorted(L[v], key=str)))
+        for c in tries[i]:
+            classes[c].add(v)
+            if not any(m <= classes[c] for m in at[v]):  # no edge at v is monochromatic
+                chosen.append(c)
+                break
+            classes[c].remove(v)
+        else:
+            tries.pop()
+            if not chosen:
+                return False
+            classes[chosen.pop()].remove(vs[i - 1])  # step back: vs[i - 1] gives up its color
+    return True
 
 
 def chi_and_chi_list(H: Hypergraph) -> tuple[int, int]:
@@ -201,17 +196,12 @@ def chi_and_chi_list(H: Hypergraph) -> tuple[int, int]:
     ten vertices.
 
     The list-chromatic number is found by probing k-choosability upward
-    from the chromatic number; the coloring number is an upper bound.
+    from the chromatic number; by the coloring number H peels away.
     """
     if H.order > _CHI_MAX_ORDER:
         raise ValueError(f"chi_and_chi_list guard: {H.order} > {_CHI_MAX_ORDER} vertices")
-    if H.is_empty:
-        return 0, 0
     chi = chromatic_number(H)
-    for k in range(chi, col(H) + 1):
-        if is_k_choosable(H, k):
-            return chi, k
-    raise AssertionError("unreachable: H is col(H)-choosable")
+    return chi, next(k for k in itertools.count(chi) if is_k_choosable(H, k))
 
 
 def _degree_choosable(parts: list[RootedBlock]) -> bool:
@@ -228,7 +218,8 @@ def _degree_choosable(parts: list[RootedBlock]) -> bool:
 def is_k_choosable(H: Hypergraph, k: int) -> bool:
     """Proper colorings exist for every list assignment with |L(v)| = k.
 
-    Vertices of degree below k are peeled off (always colorable last).
+    H is read with one edge per distinct incidence set, and vertices of
+    degree below k are peeled off (always colorable last).
     One `block_forest` pass gives every stuck component and its blocks; a
     k-regular one is decided by its block shapes.  A stuck component with
     degrees above k is copied out for an explicit search over list
@@ -239,6 +230,9 @@ def is_k_choosable(H: Hypergraph, k: int) -> bool:
         raise ValueError("k must be >= 0")
     if k == 0:
         return H.is_empty
+    # one edge per distinct incidence set: parallel edges change no coloring
+    distinct = {m: e for e, m in H.edges().items()}
+    H = Hypergraph._of(H.vertices, {e: m for m, e in distinct.items()})
     wit = is_strictly_degenerate(H, {v: k for v in H.vertices})
     if wit:
         return True
@@ -257,26 +251,32 @@ def _exists_bad_lists(B: Hypergraph, k: int, budget: int) -> bool:
 
     Lists are enumerated up to renaming of colors: scanning vertices in
     order, every color beyond those already in play enters as the next
-    unused integer.  Each complete assignment is tested by backtracking.
+    unused integer.  Each vertex keeps one open iterator over its list
+    choices, and each complete assignment is tested by `_colorable_with`.
     """
     vs = sorted(B.vertices)
-    spent = [0]
+    lists: dict[str, set] = {}
+    choices: list[Iterator[tuple[set, int]]] = []  # the open list-choice iterator of each listed vertex
+    used = spent = 0
+    while True:
+        if len(choices) == len(vs):
+            spent += 1
+            if spent > budget:
+                raise ValueError(f"choosability search exceeded budget on {B.order} vertices (k={k})")
+            if not _colorable_with(B, lists):
+                return True
+        else:
+            choices.append(_size_k_lists(k, used))
+        while choices and (choice := next(choices[-1], None)) is None:
+            choices.pop()
+        if not choices:
+            return False
+        lists[vs[len(choices) - 1]], used = choice
 
-    def go(i: int, lists: dict[str, set], used: int) -> bool:
-        if i == len(vs):
-            spent[0] += 1
-            if spent[0] > budget:
-                raise ValueError(
-                    f"choosability search exceeded budget on {B.order} vertices (k={k})"
-                )
-            return not _colorable_with(B, lists)
-        v = vs[i]
-        for r in range(k + 1):  # r fresh colors, k - r colors already in play
-            for old in itertools.combinations(range(1, used + 1), k - r):
-                lists[v] = set(old) | set(range(used + 1, used + r + 1))
-                if go(i + 1, lists, used + r):
-                    return True
-        del lists[v]
-        return False
 
-    return go(0, {}, 0)
+def _size_k_lists(k: int, used: int) -> Iterator[tuple[set, int]]:
+    """Each size-k list with colors 1..used in play, up to renaming, and the
+    colors in play after it: r fresh colors and k - r of those in play."""
+    for r in range(k + 1):
+        for old in itertools.combinations(range(1, used + 1), k - r):
+            yield set(old) | set(range(used + 1, used + r + 1)), used + r

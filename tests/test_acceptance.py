@@ -14,8 +14,9 @@ import pytest
 
 import degenpart as dp
 from degenpart.hardpair import VectorFunction
-from degenpart.instancefile import emit_instance
-from conftest import layered_wheel_instance, reference_multiplicity, refinement_instances
+from degenpart.instancefile import _emit_tag, emit_instance
+from degenpart.hypergraph import Hypergraph
+from conftest import layered_wheel_instance, petersen, reference_multiplicity, refinement_instances
 
 
 def test_1_recognizer_solver_oracle_equivalence(sweep):
@@ -231,3 +232,43 @@ def test_7_no_exhaustive_fallbacks(sweep):
         if not rec.hard or rec.oracle_partitionable:
             assert rec.partition is not None
         assert rec.verify_calls == (1 if rec.partition is not None else 0)
+
+
+_C3 = dp.cycle(3)
+_PETERSEN = petersen()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dp.is_k_choosable(_C3, -1), "k must be >= 0"),
+        (lambda: dp.list_to_vector(_C3, {v: set() for v in _C3.vertices}), "empty color universe"),
+        (lambda: dp.is_Lxs_choosable(_C3, {v: {1, 2} for v in _C3.vertices}, 0), "s must be >= 1, got 0"),
+        (lambda: dp.degree_constrained_partition(Hypergraph(()), (2, 2)),
+         "degree_constrained_partition expects a connected non-empty hypergraph"),
+        (lambda: dp.degree_constrained_partition(_PETERSEN, (3,)), "need p >= 2 classes with all bounds >= 1"),
+        (lambda: _C3.induced({"v1", "x"}), "induced: ['x'] are not vertices"),
+        (lambda: _C3.shrink({"v1", "x"}), "shrink: ['x'] are not vertices"),
+        (lambda: VectorFunction(0, {}), "vector function needs p >= 1, got 0"),
+        (lambda: VectorFunction.constant(_C3.vertices, (1, 1)).coordinate(0), "coordinate 0 out of range 1..2"),
+        (lambda: dp.merge(_C3, "v1", _C3, "v1", "z"), "merge operands share vertices"),
+        (lambda: dp.merge(_C3, "v1", Hypergraph("ab", {"e1": "ab"}), "a", "z"), "merge operands share edge identifiers"),
+        (lambda: dp.merge(_C3, "v1", Hypergraph("ab", {"x": "ab"}), "c", "z"),
+         "merge points must belong to the respective operands"),
+        (lambda: dp.path(0), "path needs n >= 1, got 0"),
+        (lambda: dp.random_hypergraph(0, 1), "random_hypergraph parameter out of range"),
+        (lambda: _emit_tag("X 1"), "unknown tag 'X 1'"),
+    ],
+    ids=[
+        "k-choosable-negative-k", "list-to-vector-no-colors", "Lxs-choosable-s-0", "degree-constrained-empty",
+        "degree-constrained-one-class", "induced-unknown", "shrink-unknown", "vector-function-p-0",
+        "coordinate-0", "merge-shared-vertices", "merge-shared-edge-ids", "merge-points-missing",
+        "path-0", "random-hypergraph-n-0", "emit-unknown-tag",
+    ],
+)
+def test_8_argument_errors_name_their_cause(call, message):
+    # each raise is one explicit ValueError with its own message, never a
+    # traceback from deeper in the library
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

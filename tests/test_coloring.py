@@ -1,10 +1,13 @@
+import ast
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
 import degenpart as dp
-from degenpart import coloring
+from degenpart import coloring, oracle
 from degenpart.coloring import _colorable_with, _exists_bad_lists
 from degenpart.hardpair import VectorFunction
 from degenpart.hypergraph import Hypergraph
@@ -312,3 +315,88 @@ class TestChoosability:
         H = dp.cycle(5)
         assert not _colorable_with(H, {v: {1, 2} for v in H.vertices})
         assert _colorable_with(H, {v: {1, 2, 3} for v in H.vertices})
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit for the test, whatever the runner set."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def _two_even_cycles(a: int, b: int) -> Hypergraph:
+    """Even cycles of a and b vertices sharing the vertex x000; the names
+    sort along each cycle, so every list coloring of it runs without
+    backtracking."""
+    ring_a = [f"x{i:03d}" for i in range(a)]
+    ring_b = ["x000"] + [f"y{i:03d}" for i in range(1, b)]
+    pairs = [(r[i], r[i - 1]) for r in (ring_a, ring_b) for i in range(len(r))]
+    return Hypergraph(ring_a + ring_b[1:], {f"e{i}": uv for i, uv in enumerate(pairs)})
+
+
+class TestIterativeSearches:
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: dp.chromatic_number(dp.path(1500)), 2),
+            (lambda: dp.chromatic_number(dp.cycle(999)), 3),
+            # 2C_1200 peels as C_1200 at k = 3: parallel edges change no coloring
+            (lambda: dp.is_k_choosable(dp.t_fold(dp.cycle(1200), 2), 3), True),
+            # colors offered in order of first use: K_11 fails at 10 colors at once
+            (lambda: dp.chromatic_number(dp.complete_uniform(11, 2)), 11),
+        ],
+        ids=["chi-path1500", "chi-cycle999", "choosable-2C1200", "chi-K11"],
+    )
+    def test_answers_past_the_recursion_limit(self, call, want, default_recursion_limit):
+        assert call() == want
+
+    def test_adversary_budget_past_the_recursion_limit(self, default_recursion_limit):
+        # a stuck component of 1201 vertices whose shared vertex has degree
+        # 4 > k: the search lists every vertex before it tests an assignment
+        B = _two_even_cycles(600, 602)
+        assert B.order == 1201 and B.max_degree() == 4 and B.min_degree() == 2
+        with pytest.raises(ValueError, match=r"^choosability search exceeded budget on 1201 vertices \(k=2\)$"):
+            _exists_bad_lists(B, 2, budget=3)
+
+    @pytest.mark.parametrize("module", [coloring, oracle], ids=["coloring", "oracle"])
+    def test_no_function_calls_itself(self, module):
+        tree = ast.parse(inspect.getsource(module))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [node for node in ast.walk(fn) if node is not fn]
+                called = {c.func.id for c in inner if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                assert fn.name not in called, f"{fn.name} calls itself"
+                assert not any(isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) for d in inner), fn.name
+
+    def test_colorable_with_matches_oracle(self):
+        # a strictly 1-degenerate class allowed only where f_i = 1 is an
+        # independent set drawn from the lists: the two methods share no code
+        answers = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            H = dp.random_hypergraph(n, rng.randint(0, 2 * n), seed=seed)
+            colors = range(1, rng.randint(1, 3) + 1)
+            L = {v: set(rng.sample(colors, rng.randint(1, len(colors)))) for v in sorted(H.vertices)}
+            want = dp.brute_partitionable(H, dp.list_to_vector(H, L, 1)[0]).partitionable
+            assert _colorable_with(H, L) == want, seed
+            answers.add(want)
+        assert answers == {False, True}
+
+    def test_parallel_edges_change_no_choosability(self):
+        for seed in range(80):
+            rng = random.Random(seed)
+            n = rng.randint(1, 4)
+            H = dp.random_hypergraph(n, rng.randint(0, 2 * n), seed=seed)
+            for k in range(4):
+                assert dp.is_k_choosable(H, k) == dp.is_k_choosable(dp.t_fold(H, 2), k), (seed, k)
+
+    def test_chromatic_number_matches_point_partition_number(self):
+        # colors offered in order of first use against the oracle's classes
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            H = dp.random_hypergraph(n, rng.randint(0, 2 * n), seed=seed)
+            assert dp.chromatic_number(H) == dp.point_partition_number(H, 1), seed
